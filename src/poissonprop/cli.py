@@ -59,6 +59,7 @@ def _cmd_propagate(args) -> int:
     print(f"iterations: {result.iterations}")
     print(f"final_step: {result.final_step!r}")
     print(f"converged: {str(result.converged).lower()}")
+    print(f"residual_inf: {result.residual_inf!r}")
     return 0
 
 
@@ -75,6 +76,7 @@ def _cmd_episode(args) -> int:
         "iterations": result.propagation.iterations,
         "final_step": result.propagation.final_step,
         "converged": result.propagation.converged,
+        "residual_inf": result.propagation.residual_inf,
         "n_vertices": result.vertex_set.n,
         "n_support": result.vertex_set.n_s,
         "n_auxiliary": result.vertex_set.n_a,

@@ -3,8 +3,11 @@
 Edge weights use a self-tuning Gaussian kernel: the squared distance to
 each point's K-th nearest neighbor sets that point's local bandwidth,
 so the weight matrix is invariant to global rescaling of the points.
-The kNN search is exact (O(n^2) distance table) to keep results
-deterministic at desk scale.
+The kNN search is exact, with ties broken toward the lower index: a
+GEMM screen over row blocks keeps every candidate within a rigorous
+rounding margin, and the survivors' distances are recomputed
+elementwise, so the graph is bit-identical for any BLAS or thread
+count and working memory stays O(block * n).
 """
 
 from __future__ import annotations
@@ -105,22 +108,81 @@ class WeightedGraph:
         return cls(n=n, weights=w, degrees=degrees)
 
 
-def _pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
-    """Exact squared-distance table via elementwise broadcasting.
+def _as_points(points) -> np.ndarray:
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    if pts.ndim != 2:
+        raise ValueError("points must be an (n, C) array")
+    return pts
 
-    Computed in fixed-size row blocks with per-pair channel sums, so the
-    result is bit-identical for any worker-thread count (no BLAS-style
-    blocked reductions involved).
+
+# Screening margin. Let u = 2^-53 (eps = 2u), x~ = fl(x - mean) and
+# S_ij = (|x~_i| + |x~_j|)^2, which bounds the exact d_ij = |x_i - x_j|^2.
+# The elementwise recompute D_ij = fl(sum fl(fl(x_i - x_j)^2)) is within
+# (C+2)u d_ij of d_ij: one rounding for the difference, two for the
+# square, at most C-1 for a sum of nonnegative terms. The GEMM screen
+# A_ij = fl(|x~_i|^2 + |x~_j|^2 - 2 x~_i.x~_j) is within (C+4)u S_ij of
+# d_ij: 2u from centring (each x~ component is off by u relative), C u
+# from the dot product and the two norms (Cauchy-Schwarz), 2u from the
+# two additions. So |A - D| <= (2C+6) u S_ij, up to O(C^2 u^2) S_ij.
+# The margin m_ij = (C+4) eps S_ij = (2C+8) u S_ij leaves u S_ij for the
+# rounding of A +- m and those second-order terms (fine for C << 1e8).
+# Products that underflow add at most u * 2^-1022 each, about 3C per
+# pair, which the absolute slack 4 (C+4) 2^-1074 on each row's bound
+# covers. The K smallest A + m in row i each bound their own D from
+# above, so D_(K) <= U_i, the K-th smallest A + m; every j among the K
+# nearest by D then has A_ij - m_ij <= D_ij <= U_i and survives.
+def _knn(pts: np.ndarray, k_neighbors: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact K nearest other points of every point, in row blocks.
+
+    Returns (n, K) neighbor indices and their squared distances, ordered
+    by (distance, index). A GEMM screen keeps every candidate that
+    could be among the K nearest under its rounding margin; survivors
+    are recomputed elementwise, so the result never depends on BLAS
+    rounding or threading, and working memory is O(block * n).
     """
-    n = points.shape[0]
-    out = np.empty((n, n), dtype=np.float64)
+    n, channels = pts.shape
+    if k_neighbors < 1:
+        raise ValueError("K must be positive")
+    if k_neighbors > n - 1:
+        raise KTooLarge(f"K={k_neighbors} but only {n - 1} other points exist")
+    centred = pts - pts.mean(axis=0)
+    minus_two = -2.0 * centred  # exact scaling, folded into the GEMM
+    sq = np.einsum("ij,ij->i", centred, centred)
+    if not np.isfinite(8.0 * sq.max()):
+        raise ValueError("points must be finite, with squared distances in float64 range")
+    eps = np.finfo(np.float64).eps
+    # margin m_ij = (scaled_i + scaled_j)^2 = (C+4) eps S_ij
+    scaled = np.sqrt((channels + 4) * eps) * np.sqrt(sq)
+    slack = 4 * (channels + 4) * np.finfo(np.float64).smallest_subnormal
+    neighbors = np.empty((n, k_neighbors), dtype=np.int64)
+    sq_dists = np.empty((n, k_neighbors), dtype=np.float64)
+    take = np.arange(k_neighbors)
 
     def fill(lo: int, hi: int) -> None:
-        diff = points[lo:hi, None, :] - points[None, :, :]
-        np.sum(diff * diff, axis=2, out=out[lo:hi])
+        local = np.arange(hi - lo)
+        approx = minus_two[lo:hi] @ centred.T
+        approx += sq[lo:hi, None]
+        approx += sq
+        margin = scaled[lo:hi, None] + scaled
+        margin *= margin
+        upper = approx + margin
+        upper[local, lo + local] = np.inf
+        upper.partition(k_neighbors - 1, axis=1)
+        bound = upper[:, k_neighbors - 1] + slack
+        approx -= margin
+        keep = approx <= bound[:, None]
+        keep[local, lo + local] = False
+        rows, cols = np.divmod(np.flatnonzero(keep), n)
+        diff = pts[lo + rows] - pts[cols]
+        d2 = np.sum(diff * diff, axis=-1)
+        order = np.lexsort((cols, d2, rows))
+        first = np.searchsorted(rows, local)
+        picked = order[first[:, None] + take]
+        neighbors[lo:hi] = cols[picked]
+        sq_dists[lo:hi] = d2[picked]
 
     run_blocked(fill, n)
-    return out
+    return neighbors, sq_dists
 
 
 def knn_distances(points, k_neighbors: int) -> np.ndarray:
@@ -129,20 +191,8 @@ def knn_distances(points, k_neighbors: int) -> np.ndarray:
     Ties are broken by vertex index; results are floored at 1e-12 to
     guard division by zero on duplicate points.
     """
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    if pts.ndim != 2:
-        raise ValueError("points must be an (n, C) array")
-    n = pts.shape[0]
-    if k_neighbors < 1:
-        raise ValueError("K must be positive")
-    if k_neighbors > n - 1:
-        raise KTooLarge(f"K={k_neighbors} but only {n - 1} other points exist")
-    d2 = _pairwise_sq_dists(pts)
-    np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")
-    kth = order[:, k_neighbors - 1]
-    dists = np.sqrt(d2[np.arange(n), kth])
-    return np.maximum(dists, DISTANCE_FLOOR)
+    _, sq_dists = _knn(_as_points(points), k_neighbors)
+    return np.maximum(np.sqrt(sq_dists[:, -1]), DISTANCE_FLOOR)
 
 
 def build_weight_graph(
@@ -159,28 +209,17 @@ def build_weight_graph(
     """
     if symmetrization not in ("mean", "max"):
         raise ValueError(f"unknown symmetrization {symmetrization!r}")
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    if pts.ndim != 2:
-        raise ValueError("points must be an (n, C) array")
+    pts = _as_points(points)
     n = pts.shape[0]
     if n < 2:
         raise ValueError("need at least 2 points")
-    if k_neighbors < 1:
-        raise ValueError("K must be positive")
-    if k_neighbors > n - 1:
-        raise KTooLarge(f"K={k_neighbors} but only {n - 1} other points exist")
-
-    d2 = _pairwise_sq_dists(pts)
-    np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")
-    neighbors = order[:, :k_neighbors]
-    dk = np.sqrt(d2[np.arange(n), neighbors[:, -1]])
+    neighbors, sq_dists = _knn(pts, k_neighbors)
+    dk = np.sqrt(sq_dists[:, -1])
     dk2 = np.maximum(dk, DISTANCE_FLOOR) ** 2
 
     rows = np.repeat(np.arange(n), k_neighbors)
-    cols = neighbors.ravel()
-    vals = np.exp(-4.0 * d2[rows, cols] / dk2[rows])
-    raw = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    vals = np.exp(-4.0 * sq_dists.ravel() / dk2[rows])
+    raw = sp.csr_matrix((vals, (rows, neighbors.ravel())), shape=(n, n))
     if symmetrization == "mean":
         sym = (raw + raw.T) * 0.5
     else:

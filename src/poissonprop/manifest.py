@@ -163,13 +163,8 @@ def load_episode_manifest(path) -> Episode:
     unknown = set(doc) - _MANIFEST_KEYS
     if unknown:
         raise ManifestError(f"{sorted(unknown)[0]}: unknown manifest key")
-    cfg_doc = doc.get("config", {})
-    if not isinstance(cfg_doc, dict):
-        raise ManifestError("config: expected an object")
-    unknown = set(cfg_doc) - _CONFIG_KEYS
-    if unknown:
-        raise ManifestError(f"{sorted(unknown)[0]}: unknown config key")
     base = path.parent
+    config = _parse_config(base, doc.get("config", {}))
     support = _load_feature_map(base, "support_features", _require(doc, "support_features"))
     support_mask = _load_mask(base, "support_mask", _require(doc, "support_mask"))
     aux_entries = doc.get("auxiliary_features", [])
@@ -183,7 +178,6 @@ def load_episode_manifest(path) -> Episode:
     query_mask = None
     if "query_mask" in doc:
         query_mask = _load_mask(base, "query_mask", doc["query_mask"])
-    config = _parse_config(base, cfg_doc)
     try:
         return Episode(
             support=(support, support_mask),

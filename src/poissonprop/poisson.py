@@ -25,7 +25,7 @@ from .errors import (
     ShapeMismatch,
     TooLargeForDirect,
 )
-from .graph import WeightedGraph, component_count
+from .graph import WeightedGraph, component_count, laplacian_apply
 
 DIRECT_SOLVE_LIMIT = 2000
 
@@ -52,12 +52,17 @@ class LabelSource:
 
 @dataclass(frozen=True)
 class PropagationResult:
-    """Solution matrix (n x k) with iteration diagnostics."""
+    """Solution matrix (n x k) with iteration diagnostics.
+
+    ``residual_inf`` is the true max-norm residual |source^T - L R| at
+    the returned scores, whatever the stopping rule said.
+    """
 
     scores: np.ndarray = field(repr=False)
     iterations: int
     final_step: float
     converged: bool
+    residual_inf: float
 
 
 @dataclass(frozen=True)
@@ -130,6 +135,10 @@ def _check_system(graph: WeightedGraph, source: LabelSource) -> None:
         )
 
 
+def _residual_inf(graph: WeightedGraph, source: LabelSource, scores: np.ndarray) -> float:
+    return float(np.abs(source.values.T - laplacian_apply(graph, scores)).max())
+
+
 def solve_iterative(
     graph: WeightedGraph,
     source: LabelSource,
@@ -166,7 +175,11 @@ def solve_iterative(
         if step < tol:
             break
     return PropagationResult(
-        scores=scores, iterations=t, final_step=step, converged=step < tol
+        scores=scores,
+        iterations=t,
+        final_step=step,
+        converged=step < tol,
+        residual_inf=_residual_inf(graph, source, scores),
     )
 
 
@@ -187,7 +200,11 @@ def solve_direct(graph: WeightedGraph, source: LabelSource) -> PropagationResult
     shift = (graph.degrees @ scores) / graph.degrees.sum()
     scores = scores - shift[None, :]
     return PropagationResult(
-        scores=scores, iterations=0, final_step=0.0, converged=True
+        scores=scores,
+        iterations=0,
+        final_step=0.0,
+        converged=True,
+        residual_inf=_residual_inf(graph, source, scores),
     )
 
 

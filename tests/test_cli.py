@@ -67,6 +67,7 @@ class TestGraphPropagate:
             graph, pp.build_source(labels, 40, 2), t_max=50000, tol=1e-8
         )
         assert np.array_equal(load_tensor(rfile).data, expected.scores)
+        assert f"residual_inf: {expected.residual_inf!r}" in captured
 
     def test_propagate_disconnected_error(self, tmp_path, capsys):
         gfile = tmp_path / "g.t"
@@ -125,6 +126,7 @@ class TestSynthAndEpisode:
         diag = json.loads((out_dir / "diagnostics.json").read_text())
         assert diag["dsc"] >= 0.95
         assert diag["n_query"] == 256
+        assert 0.0 <= diag["residual_inf"] < 1.0
         mask = load_tensor(out_dir / "predicted_mask.t").data
         assert set(np.unique(mask)) <= {0.0, 1.0}
         conf = load_tensor(out_dir / "confidence.t").data

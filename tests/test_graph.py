@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from poissonprop import (
     VertexSet,
@@ -10,9 +13,99 @@ from poissonprop import (
     to_triplets,
 )
 from poissonprop.errors import DimensionMismatch, KTooLarge
-from poissonprop.graph import component_count
+from poissonprop.graph import DISTANCE_FLOOR, WeightedGraph, component_count
 
 LINE = np.array([[0.0], [1.0], [3.0]])
+
+
+def _reference_sq_dists(points):
+    """Full distance table by elementwise broadcasting, 64 rows at a time."""
+    n = points.shape[0]
+    out = np.empty((n, n), dtype=np.float64)
+    for lo in range(0, n, 64):
+        diff = points[lo : lo + 64, None, :] - points[None, :, :]
+        np.sum(diff * diff, axis=2, out=out[lo : lo + 64])
+    np.fill_diagonal(out, np.inf)
+    return out
+
+
+def _reference_knn_distances(points, k):
+    d2 = _reference_sq_dists(points)
+    order = np.argsort(d2, axis=1, kind="stable")
+    dists = np.sqrt(d2[np.arange(len(points)), order[:, k - 1]])
+    return np.maximum(dists, DISTANCE_FLOOR)
+
+
+def _reference_triplets(points, k):
+    """The weight graph from the full table and a stable full argsort."""
+    n = points.shape[0]
+    d2 = _reference_sq_dists(points)
+    neighbors = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    dk = np.sqrt(d2[np.arange(n), neighbors[:, -1]])
+    dk2 = np.maximum(dk, DISTANCE_FLOOR) ** 2
+    rows = np.repeat(np.arange(n), k)
+    cols = neighbors.ravel()
+    vals = np.exp(-4.0 * d2[rows, cols] / dk2[rows])
+    raw = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return to_triplets(WeightedGraph.from_weights((raw + raw.T) * 0.5))
+
+
+def _equivalence_corpus():
+    rng = np.random.default_rng(30)
+    lattice = np.stack(np.meshgrid(np.arange(9.0), np.arange(9.0)), -1).reshape(-1, 2)
+    turn = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+    return {
+        "gauss-c1": (rng.standard_normal((150, 1)), 10),
+        "gauss-c8": (rng.standard_normal((150, 8)), 10),
+        "gauss-c256": (rng.standard_normal((150, 256)), 10),
+        "all-duplicates": (np.full((70, 3), 0.25), 5),
+        "repeated-rows": (np.tile(rng.standard_normal((20, 4)), (5, 1)), 6),
+        "ties-at-kth": (lattice, 4),
+        # equal exact distances that round apart: fails with a zero margin
+        "rounded-ties": (lattice @ turn.T + 1e3, 8),
+        "offset-1e6": (rng.standard_normal((150, 8)) + 1e6, 10),
+        "ragged-blocks": (rng.standard_normal((64 * 3 + 1, 5)), 7),
+        "k-n-minus-1": (rng.standard_normal((40, 3)), 39),
+        "far-outlier": (np.vstack([rng.standard_normal((80, 4)), [[1e7, 0, 0, 0]]]), 5),
+    }
+
+
+EQUIVALENCE_CORPUS = _equivalence_corpus()
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CORPUS))
+class TestExactKnnEquivalence:
+    def test_triplets_byte_equal(self, case):
+        points, k = EQUIVALENCE_CORPUS[case]
+        got = to_triplets(build_weight_graph(points, k))
+        assert got.tobytes() == _reference_triplets(points, k).tobytes()
+
+    def test_knn_distances_byte_equal(self, case):
+        points, k = EQUIVALENCE_CORPUS[case]
+        got = knn_distances(points, k)
+        assert got.tobytes() == _reference_knn_distances(points, k).tobytes()
+
+
+def test_thread_count_does_not_change_bytes(monkeypatch):
+    points = np.random.default_rng(31).standard_normal((300, 8))
+    blobs = []
+    for threads in ("1", "4"):
+        monkeypatch.setenv("POISSONPROP_THREADS", threads)
+        blobs.append(to_triplets(build_weight_graph(points, 10)).tobytes())
+        blobs.append(knn_distances(points, 10).tobytes())
+    assert blobs[:2] == blobs[2:]
+
+
+def test_graph_build_memory_is_linear():
+    # a full n x n float64 table alone would be 128 MB here
+    points = np.random.default_rng(32).standard_normal((4096, 8))
+    tracemalloc.start()
+    try:
+        build_weight_graph(points, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 class TestKnnDistances:
@@ -29,6 +122,10 @@ class TestKnnDistances:
     def test_k_too_large(self):
         with pytest.raises(KTooLarge):
             knn_distances(LINE, 3)
+
+    def test_non_finite_points_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            knn_distances(np.array([[0.0], [np.nan], [1.0]]), 1)
 
 
 class TestBuildWeightGraph:

@@ -131,6 +131,14 @@ class TestIterative:
             if 2 * t in norms:
                 assert norms[2 * t] <= norms[t] + 1e-12
 
+    def test_residual_inf_is_true_residual(self):
+        graph, source = random_connected_system(6)
+        for t_max in (3, 100000):
+            res = solve_iterative(graph, source, t_max=t_max, tol=1e-10)
+            residual = source.values.T - laplacian_apply(graph, res.scores)
+            assert res.residual_inf == np.abs(residual).max()
+        assert res.converged and res.residual_inf < 1e-8
+
     def test_class_swap_negates_solution(self):
         graph, _ = random_connected_system(5)
         n = graph.n
@@ -178,6 +186,7 @@ class TestDirect:
         res = solve_direct(graph, source)
         residual = laplacian_apply(graph, res.scores) - source.values.T
         assert np.abs(residual).max() < 1e-9
+        assert res.residual_inf == np.abs(residual).max()
 
     def test_degree_weighted_sum_zero(self):
         graph, source = random_connected_system(8)
@@ -211,6 +220,7 @@ def _result(scores):
         iterations=1,
         final_step=0.0,
         converged=True,
+        residual_inf=0.0,
     )
 
 
