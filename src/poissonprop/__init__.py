@@ -27,16 +27,7 @@ from .poisson import (
     solve_direct,
     solve_iterative,
 )
-from .prototype import (
-    BACKGROUND,
-    FOREGROUND,
-    UNLABELED,
-    LocalPrototype,
-    PrototypeVector,
-    assign_prototype_labels,
-    local_prototype_pool,
-    masked_average_pool,
-)
+from .prototype import assign_prototype_labels, local_prototype_pool, masked_average_pool
 from .scc import (
     LinearParams,
     TwoLayerParams,
@@ -72,11 +63,6 @@ __all__ = [
     "extract_confidence_map",
     "solve_direct",
     "solve_iterative",
-    "BACKGROUND",
-    "FOREGROUND",
-    "UNLABELED",
-    "LocalPrototype",
-    "PrototypeVector",
     "assign_prototype_labels",
     "local_prototype_pool",
     "masked_average_pool",

@@ -5,9 +5,7 @@ exits nonzero after printing one machine-parsable line to stderr:
 
     error: <ErrorClass>: <message>
 
-Environment: POISSONPROP_THREADS caps worker parallelism (results are
-bit-identical for any value); POISSONPROP_SEED overrides the seed of a
-synth spec.
+Environment: POISSONPROP_SEED overrides the seed of a synth spec.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from .errors import PoissonPropError
 from .graph import VertexSet, WeightedGraph, build_weight_graph
 from .metrics import dsc
 from .poisson import ConfidenceMap, LabelSource, PropagationResult
-from .prototype import FOREGROUND, LocalPrototype, PrototypeVector
 from .scc import LinearParams, TwoLayerParams
 from .tensor import FeatureMap, SoftMask, downsample_mask
 
@@ -88,15 +87,15 @@ class EpisodeResult:
     """All pipeline outputs and intermediates for one episode."""
 
     config: EpisodeConfig
-    support_prototypes: list[LocalPrototype]
-    auxiliary_prototypes: list[LocalPrototype]
+    support_prototypes: np.ndarray = field(repr=False)
+    auxiliary_prototypes: np.ndarray = field(repr=False)
     grid_mask: SoftMask
     vertex_set: VertexSet
     graph: WeightedGraph
     source: LabelSource
     propagation: PropagationResult
     confidence: ConfidenceMap
-    global_prototype: PrototypeVector
+    global_prototype: np.ndarray = field(repr=False)
     similarity: FeatureMap
     fused: FeatureMap
     calibrated: FeatureMap
@@ -161,37 +160,23 @@ def run_episode(ep: Episode) -> EpisodeResult:
     grid_mask = _stage(
         "mask-downsampling", downsample_mask, sup_mask, (grid_h, grid_w)
     )
-    sup_protos = _stage(
+    labels = _stage(
         "prototype-labeling",
         prototype.assign_prototype_labels,
-        sup_protos,
         grid_mask,
         cfg.label_threshold,
     )
-    aux_protos: list[LocalPrototype] = []
-    for aux in ep.auxiliary:
-        aux_protos.extend(
-            _stage("auxiliary-pooling", prototype.local_prototype_pool, aux, cfg.window)
-        )
-
+    aux_pools = [
+        _stage("auxiliary-pooling", prototype.local_prototype_pool, aux, cfg.window)
+        for aux in ep.auxiliary
+    ]
+    aux_protos = np.concatenate([np.empty((0, sup_map.channels)), *aux_pools])
     query_pixels = ep.query.pixel_vectors()
-    points = np.concatenate(
-        [
-            np.stack([p.vector for p in sup_protos]),
-            np.stack([p.vector for p in aux_protos])
-            if aux_protos
-            else np.empty((0, sup_map.channels)),
-            query_pixels,
-        ]
-    )
-    labels = np.array(
-        [1 if p.label == FOREGROUND else 0 for p in sup_protos], dtype=np.int64
-    )
     vertices = VertexSet(
-        points=points,
+        points=np.concatenate([sup_protos, aux_protos, query_pixels]),
         n_s=len(sup_protos),
         n_a=len(aux_protos),
-        n_q=query_pixels.shape[0],
+        n_q=len(query_pixels),
         labels=labels,
         k=2,
     )

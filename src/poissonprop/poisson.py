@@ -149,7 +149,8 @@ def solve_iterative(
     """Fixed-point solve of L R = source^T from R = 0.
 
     Stops when the max-norm of an update falls below ``tol``
-    (converged=True) or after ``t_max`` iterations (converged=False).
+    (converged=True) or after ``t_max`` iterations (converged=False,
+    with a UserWarning naming the step and the true residual).
     ``on_iterate(t, scores)`` is called after each update when given;
     it must not mutate its argument.
     """
@@ -174,12 +175,19 @@ def solve_iterative(
             on_iterate(t, scores)
         if step < tol:
             break
+    residual_inf = _residual_inf(graph, source, scores)
+    if step >= tol:
+        warnings.warn(
+            f"fixed-point iteration stopped unconverged after {t} iterations: "
+            f"final_step={step!r}, residual_inf={residual_inf!r}",
+            stacklevel=2,
+        )
     return PropagationResult(
         scores=scores,
         iterations=t,
         final_step=step,
         converged=step < tol,
-        residual_inf=_residual_inf(graph, source, scores),
+        residual_inf=residual_inf,
     )
 
 

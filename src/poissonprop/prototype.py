@@ -1,91 +1,41 @@
-"""Prototype extraction: feature maps -> labeled/unlabeled prototype vectors.
+"""Prototype extraction: feature maps -> prototype vectors and labels.
 
 Local prototypes are channel-wise window averages over a non-overlapping
-tiling; they become graph vertices. The global prototype is the
-mask-weighted average of a support feature map.
+tiling, one row per grid cell; they become graph vertices. The global
+prototype is the mask-weighted average of a support feature map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import DegenerateMask, GridMismatch
-from .tensor import FeatureMap, SoftMask, avg_pool, _as_float64
-
-FOREGROUND = "foreground"
-BACKGROUND = "background"
-UNLABELED = "unlabeled"
+from .tensor import FeatureMap, SoftMask, avg_pool
 
 
-@dataclass(frozen=True)
-class LocalPrototype:
-    """One pooled feature vector with its grid cell and class label."""
+def local_prototype_pool(fmap: FeatureMap, window: tuple[int, int]) -> np.ndarray:
+    """Pool a feature map into a (cells, C) array, one row per grid cell.
 
-    vector: np.ndarray = field(repr=False)
-    grid_pos: tuple[int, int]
-    label: str = UNLABELED
-
-    def __post_init__(self):
-        object.__setattr__(self, "vector", _as_float64(self.vector, "prototype vector"))
-        if self.label not in (FOREGROUND, BACKGROUND, UNLABELED):
-            raise ValueError(f"unknown prototype label {self.label!r}")
-
-
-@dataclass(frozen=True)
-class PrototypeVector:
-    """A single C-dimensional prototype (the mask-pooled global prototype)."""
-
-    vector: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "vector", _as_float64(self.vector, "prototype vector"))
-
-
-def local_prototype_pool(fmap: FeatureMap, window: tuple[int, int]) -> list[LocalPrototype]:
-    """Pool a feature map into one unlabeled prototype per grid cell.
-
-    Cells are emitted in row-major order over the pooled grid; the
-    stride equals the window, so cells do not overlap.
+    Cells are in row-major order over the pooled grid; the stride
+    equals the window, so cells do not overlap.
     """
-    pooled = avg_pool(fmap, window)
-    protos = []
-    for i in range(pooled.height):
-        for j in range(pooled.width):
-            protos.append(LocalPrototype(pooled.data[:, i, j], (i, j)))
-    return protos
+    return avg_pool(fmap, window).pixel_vectors()
 
 
-def assign_prototype_labels(
-    protos: list[LocalPrototype],
-    grid_mask: SoftMask,
-    threshold: float = 0.5,
-) -> list[LocalPrototype]:
-    """Label each prototype foreground iff its mask cell is >= threshold.
+def assign_prototype_labels(grid_mask: SoftMask, threshold: float = 0.5) -> np.ndarray:
+    """Class index of every grid cell, row-major: 1 (foreground) iff the
+    mask cell is >= threshold, else 0.
 
     The mask must already be at pooled-grid resolution (one cell per
     prototype). Only support prototypes are labeled this way.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"label threshold must be in (0, 1), got {threshold}")
-    gh, gw = grid_mask.data.shape
-    for p in protos:
-        i, j = p.grid_pos
-        if not (0 <= i < gh and 0 <= j < gw):
-            raise GridMismatch(
-                f"prototype cell {p.grid_pos} outside mask grid {(gh, gw)}"
-            )
-    labeled = []
-    for p in protos:
-        i, j = p.grid_pos
-        label = FOREGROUND if grid_mask.data[i, j] >= threshold else BACKGROUND
-        labeled.append(LocalPrototype(p.vector, p.grid_pos, label))
-    return labeled
+    return (grid_mask.data >= threshold).astype(np.int64).ravel()
 
 
-def masked_average_pool(fmap: FeatureMap, mask: SoftMask) -> PrototypeVector:
-    """Mask-weighted channel-wise average of a feature map.
+def masked_average_pool(fmap: FeatureMap, mask: SoftMask) -> np.ndarray:
+    """Mask-weighted channel-wise average of a feature map, as a (C,) array.
 
     Raises DegenerateMask when the mask has zero total weight (an
     empty-foreground support slice).
@@ -98,4 +48,4 @@ def masked_average_pool(fmap: FeatureMap, mask: SoftMask) -> PrototypeVector:
     if total <= 0.0:
         raise DegenerateMask("mask sums to zero; no pixels to pool")
     weighted = (fmap.data * mask.data[None, :, :]).sum(axis=(1, 2))
-    return PrototypeVector(weighted / total)
+    return weighted / total

@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import run_blocked
 from .errors import ShapeMismatch
 from .poisson import ConfidenceMap
 from .tensor import FeatureMap, ZERO_NORM_EPS, _as_float64
+
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -75,9 +76,18 @@ class TwoLayerParams:
         return self.second.apply(hidden)
 
 
+def _unit_rows(vectors: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit norm; a row with norm below 1e-12 becomes zero."""
+    norms = np.linalg.norm(vectors, axis=1)
+    unit = np.zeros_like(vectors)
+    ok = norms >= ZERO_NORM_EPS
+    unit[ok] = vectors[ok] / norms[ok, None]
+    return unit
+
+
 def similarity_map(
     query: FeatureMap,
-    proto,
+    proto: np.ndarray,
     params: LinearParams | None = None,
 ) -> FeatureMap:
     """Compare every query pixel against the global prototype.
@@ -88,7 +98,7 @@ def similarity_map(
     the affine map instead, acting as a 1x1 convolution with loadable
     weights.
     """
-    vec = np.asarray(getattr(proto, "vector", proto), dtype=np.float64)
+    vec = np.asarray(proto, dtype=np.float64)
     if vec.ndim != 1 or vec.shape[0] != query.channels:
         raise ShapeMismatch(
             f"prototype length {vec.shape} != query channels {query.channels}"
@@ -96,13 +106,8 @@ def similarity_map(
     pixels = query.pixel_vectors()  # (HW, C)
     h, w = query.height, query.width
     if params is None:
-        norms = np.linalg.norm(pixels, axis=1)
-        pnorm = float(np.linalg.norm(vec))
-        sims = np.zeros(pixels.shape[0], dtype=np.float64)
-        if pnorm >= ZERO_NORM_EPS:
-            ok = norms >= ZERO_NORM_EPS
-            sims[ok] = np.clip((pixels[ok] @ vec) / (norms[ok] * pnorm), -1.0, 1.0)
-        return FeatureMap(sims.reshape(1, h, w))
+        sims = _unit_rows(pixels) @ _unit_rows(vec[None, :])[0]
+        return FeatureMap(np.clip(sims, -1.0, 1.0).reshape(1, h, w))
     if params.in_dim != 2 * query.channels:
         raise ShapeMismatch(
             f"params expect {params.in_dim} inputs, need {2 * query.channels}"
@@ -141,21 +146,13 @@ def spatial_consistency_calibrate(
         raise ShapeMismatch(
             f"transform expects {transform.in_dim} channels, map has {c}"
         )
-    norms = np.linalg.norm(pixels, axis=1)
-    unit = np.zeros_like(pixels)
-    ok = norms >= ZERO_NORM_EPS
-    unit[ok] = pixels[ok] / norms[ok, None]
+    unit = _unit_rows(pixels)
     target = pixels if transform is None else transform.apply(pixels)
     n_px, c_out = target.shape
     out = np.empty((n_px, c_out), dtype=np.float64)
-
-    def fill(lo: int, hi: int) -> None:
-        # elementwise throughout: BLAS kernels may partition reductions
-        # differently under concurrent calls, which would break the
-        # bit-identical-across-thread-counts guarantee
-        sims = np.sum(unit[lo:hi, None, :] * unit[None, :, :], axis=2)
+    # row blocks keep the similarity table at O(block * HW)
+    for lo in range(0, n_px, _BLOCK_ROWS):
+        sims = unit[lo : lo + _BLOCK_ROWS] @ unit.T
         np.maximum(sims, 0.0, out=sims)
-        out[lo:hi] = np.sum(sims[:, :, None] * target[None, :, :], axis=1) / n_px
-
-    run_blocked(fill, n_px)
+        out[lo : lo + _BLOCK_ROWS] = sims @ target / n_px
     return FeatureMap(out.T.reshape(c_out, h, w))

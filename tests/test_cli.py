@@ -1,7 +1,6 @@
 import json
 
 import numpy as np
-import pytest
 
 import poissonprop as pp
 from _util import two_blob_spec
@@ -163,22 +162,6 @@ class TestSynthAndEpisode:
         res = pp.run_episode(ep)
         assert np.array_equal(load_tensor(out_dir / "confidence.t").data, res.confidence.values)
         assert np.array_equal(load_tensor(out_dir / "predicted_mask.t").data, res.mask_poisson)
-
-
-class TestEnvironment:
-    def test_invalid_thread_cap_rejected(self, monkeypatch):
-        from poissonprop._parallel import worker_count
-
-        monkeypatch.setenv("POISSONPROP_THREADS", "zero")
-        with pytest.raises(ValueError, match="integer"):
-            worker_count()
-        monkeypatch.setenv("POISSONPROP_THREADS", "0")
-        with pytest.raises(ValueError, match=">= 1"):
-            worker_count()
-        monkeypatch.setenv("POISSONPROP_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.delenv("POISSONPROP_THREADS")
-        assert worker_count() == 1
 
 
 class TestManifestErrors:

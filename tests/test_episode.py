@@ -5,7 +5,7 @@ import pytest
 
 import poissonprop as pp
 from _util import aligned_rect_spec, two_blob_spec
-from poissonprop import Episode, EpisodeConfig, predict_mask, run_episode
+from poissonprop import Episode, EpisodeConfig, predict_mask, run_episode, to_triplets
 from poissonprop.errors import DegenerateMask
 from poissonprop.poisson import ConfidenceMap
 from poissonprop.tensor import FeatureMap, SoftMask
@@ -92,15 +92,6 @@ class TestRunEpisode:
         assert np.array_equal(a.calibrated.data, b.calibrated.data)
         assert np.array_equal(a.mask_poisson, b.mask_poisson)
         assert np.array_equal(a.propagation.scores, b.propagation.scores)
-
-    def test_determinism_across_thread_counts(self, monkeypatch):
-        ep, _ = pp.synth_episode(two_blob_spec(2))
-        monkeypatch.setenv("POISSONPROP_THREADS", "1")
-        a = run_episode(ep)
-        monkeypatch.setenv("POISSONPROP_THREADS", "4")
-        b = run_episode(ep)
-        assert np.array_equal(a.confidence.values, b.confidence.values)
-        assert np.array_equal(a.calibrated.data, b.calibrated.data)
         assert np.array_equal(a.graph.weights.toarray(), b.graph.weights.toarray())
 
     def test_stage_composability(self):
@@ -111,19 +102,10 @@ class TestRunEpisode:
 
         protos = pp.local_prototype_pool(sup_map, cfg.window)
         grid = pp.downsample_mask(sup_mask, (4, 4))
-        protos = pp.assign_prototype_labels(protos, grid, cfg.label_threshold)
-        aux = [
-            p for amap in ep.auxiliary for p in pp.local_prototype_pool(amap, cfg.window)
-        ]
-        points = np.concatenate(
-            [
-                np.stack([p.vector for p in protos]),
-                np.stack([p.vector for p in aux]),
-                ep.query.pixel_vectors(),
-            ]
-        )
+        labels = pp.assign_prototype_labels(grid, cfg.label_threshold)
+        aux = [pp.local_prototype_pool(amap, cfg.window) for amap in ep.auxiliary]
+        points = np.concatenate([protos, *aux, ep.query.pixel_vectors()])
         graph = pp.build_weight_graph(points, cfg.knn_k)
-        labels = np.array([1 if p.label == pp.FOREGROUND else 0 for p in protos])
         one_hot = np.zeros((len(protos), 2))
         one_hot[np.arange(len(protos)), labels] = 1.0
         source = pp.build_source(one_hot, graph.n, 2)
@@ -134,6 +116,10 @@ class TestRunEpisode:
         fused = pp.fuse_confidence(sim, conf)
         calibrated = pp.spatial_consistency_calibrate(fused, cfg.calibration_params)
 
+        assert np.array_equal(res.support_prototypes, protos)
+        assert np.array_equal(res.vertex_set.labels, labels)
+        assert np.array_equal(res.global_prototype, proto_vec)
+        assert np.array_equal(to_triplets(res.graph), to_triplets(graph))
         assert np.array_equal(res.propagation.scores, prop.scores)
         assert np.array_equal(res.confidence.values, conf.values)
         assert np.array_equal(res.similarity.data, sim.data)
@@ -170,12 +156,29 @@ class TestRunEpisode:
     def test_intermediates_exposed(self):
         ep, _ = pp.synth_episode(two_blob_spec(7))
         res = run_episode(ep)
-        assert len(res.support_prototypes) == 16
-        assert len(res.auxiliary_prototypes) == 48
+        assert res.support_prototypes.shape == (16, 8)
+        assert res.auxiliary_prototypes.shape == (48, 8)
+        assert res.global_prototype.shape == (8,)
+        assert res.vertex_set.labels.shape == (16,)
         assert res.vertex_set.n == 16 + 48 + 256
         assert res.similarity.data.shape == (1, 16, 16)
         assert res.fused.data.shape == (1, 16, 16)
         assert set(np.unique(res.predicted_mask)) <= {0, 1}
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="calibrated mode with the default cosine channel: a calibrated "
+        "pixel is (1/N) * sum of the same-sign fused values, so the mask is "
+        "empty unless the foreground covers more than about half the image",
+    )
+    def test_calibrated_mode_small_foreground(self):
+        spec = dataclasses.replace(two_blob_spec(0), size=4.0)  # 20 % foreground
+        ep, _ = pp.synth_episode(spec)
+        res = run_episode(ep)
+        assert res.dsc_poisson == 1.0
+        assert res.mask_calibrated.any()
+        assert res.dsc_calibrated >= 0.9
 
     def test_mode_selects_mask(self):
         ep, _ = pp.synth_episode(two_blob_spec(8))

@@ -86,16 +86,6 @@ class TestExactKnnEquivalence:
         assert got.tobytes() == _reference_knn_distances(points, k).tobytes()
 
 
-def test_thread_count_does_not_change_bytes(monkeypatch):
-    points = np.random.default_rng(31).standard_normal((300, 8))
-    blobs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("POISSONPROP_THREADS", threads)
-        blobs.append(to_triplets(build_weight_graph(points, 10)).tobytes())
-        blobs.append(knn_distances(points, 10).tobytes())
-    assert blobs[:2] == blobs[2:]
-
-
 def test_graph_build_memory_is_linear():
     # a full n x n float64 table alone would be 128 MB here
     points = np.random.default_rng(32).standard_normal((4096, 8))

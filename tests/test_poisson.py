@@ -76,6 +76,14 @@ class TestIterative:
         assert res.iterations == 1
         assert not res.converged
 
+    def test_unconverged_stop_warns(self):
+        src = build_source(np.eye(2), 2, 2)
+        with pytest.warns(UserWarning, match="1 iterations") as record:
+            res = solve_iterative(K2, src, t_max=1)
+        message = str(record[0].message)
+        assert f"final_step={res.final_step!r}" in message
+        assert f"residual_inf={res.residual_inf!r}" in message
+
     def test_zero_source_fixed_point(self):
         with pytest.warns(UserWarning):
             src = build_source(np.array([[1.0, 0.0]]), 2, 2)

@@ -100,7 +100,7 @@ def test_dice_loss_complements_dsc_for_binary(a, b):
 def test_masked_pool_scale_invariant(fmap, weights):
     if weights.sum() < 1e-6:  # subnormal weights halve to an empty mask
         return
-    a = masked_average_pool(FeatureMap(fmap), SoftMask(weights)).vector
-    b = masked_average_pool(FeatureMap(fmap), SoftMask(weights * 0.5)).vector
+    a = masked_average_pool(FeatureMap(fmap), SoftMask(weights))
+    b = masked_average_pool(FeatureMap(fmap), SoftMask(weights * 0.5))
     scale = max(1.0, np.abs(a).max())
     assert np.allclose(a, b, atol=1e-9 * scale)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,22 +7,61 @@ from poissonprop import (
     ConfidenceMap,
     FeatureMap,
     LinearParams,
-    PrototypeVector,
     TwoLayerParams,
     fuse_confidence,
     similarity_map,
     spatial_consistency_calibrate,
 )
 from poissonprop.errors import ShapeMismatch
+from poissonprop.tensor import ZERO_NORM_EPS
 
 
 def _conf(values):
     return ConfidenceMap(np.asarray(values, dtype=np.float64))
 
 
+def _reference_calibrate(fused, transform=None):
+    """Elementwise calibration kernel, the route the blocked GEMM replaced."""
+    c, h, w = fused.data.shape
+    pixels = fused.pixel_vectors()
+    norms = np.linalg.norm(pixels, axis=1)
+    unit = np.zeros_like(pixels)
+    ok = norms >= ZERO_NORM_EPS
+    unit[ok] = pixels[ok] / norms[ok, None]
+    target = pixels if transform is None else transform.apply(pixels)
+    n_px, c_out = target.shape
+    out = np.empty((n_px, c_out), dtype=np.float64)
+    for lo in range(0, n_px, 64):
+        hi = min(lo + 64, n_px)
+        sims = np.sum(unit[lo:hi, None, :] * unit[None, :, :], axis=2)
+        np.maximum(sims, 0.0, out=sims)
+        out[lo:hi] = np.sum(sims[:, :, None] * target[None, :, :], axis=1) / n_px
+    return out.T.reshape(c_out, h, w)
+
+
+def _reference_maps():
+    rng = np.random.default_rng(49)
+    zeros = rng.standard_normal((8, 24, 24))
+    zeros[:, rng.random((24, 24)) < 0.2] = 0.0  # zero-norm pixels
+    zeros[:, 0, 0] = 1e-13  # below the zero-norm threshold
+    head = TwoLayerParams(
+        LinearParams(rng.standard_normal((64, 64)) / 8, rng.standard_normal(64)),
+        LinearParams(rng.standard_normal((64, 64)) / 8, rng.standard_normal(64)),
+    )
+    return {
+        "c1-20x20-ragged": (rng.standard_normal((1, 20, 20)), None),
+        "c1-64x64": (rng.standard_normal((1, 64, 64)), None),
+        "c8-zero-norm": (zeros, None),
+        "c64-two-layer": (rng.standard_normal((64, 16, 16)), head),
+    }
+
+
+REFERENCE_MAPS = _reference_maps()
+
+
 class TestSimilarityMap:
     def test_matching_pixel_scores_one(self):
-        proto = PrototypeVector(np.array([1.0, 2.0]))
+        proto = np.array([1.0, 2.0])
         data = np.zeros((2, 2, 2))
         data[:, 0, 0] = [1.0, 2.0]
         data[:, 1, 1] = [2.0, -1.0]  # orthogonal to proto
@@ -30,40 +71,40 @@ class TestSimilarityMap:
         assert sim.data[0, 1, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_pixels_score_zero(self):
-        proto = PrototypeVector(np.array([1.0, 0.0]))
+        proto = np.array([1.0, 0.0])
         sim = similarity_map(FeatureMap(np.zeros((2, 2, 2))), proto)
         assert np.all(sim.data == 0.0)
 
     def test_values_bounded(self):
         rng = np.random.default_rng(40)
         fmap = FeatureMap(rng.standard_normal((5, 4, 4)))
-        proto = PrototypeVector(rng.standard_normal(5))
+        proto = rng.standard_normal(5)
         sim = similarity_map(fmap, proto)
         assert sim.data.min() >= -1.0 and sim.data.max() <= 1.0
 
     def test_identity_params_reproduce_query(self):
         rng = np.random.default_rng(41)
         fmap = FeatureMap(rng.standard_normal((3, 2, 4)))
-        proto = PrototypeVector(rng.standard_normal(3))
+        proto = rng.standard_normal(3)
         weight = np.concatenate([np.eye(3), np.zeros((3, 3))], axis=1)
         sim = similarity_map(fmap, proto, LinearParams(weight, np.zeros(3)))
         assert np.allclose(sim.data, fmap.data, atol=1e-12)
 
     def test_params_see_prototype(self):
         fmap = FeatureMap(np.zeros((2, 1, 1)))
-        proto = PrototypeVector(np.array([3.0, -1.0]))
+        proto = np.array([3.0, -1.0])
         weight = np.concatenate([np.zeros((2, 2)), np.eye(2)], axis=1)
         sim = similarity_map(fmap, proto, LinearParams(weight, np.zeros(2)))
         assert np.array_equal(sim.data[:, 0, 0], [3.0, -1.0])
 
     def test_prototype_length_checked(self):
         with pytest.raises(ShapeMismatch):
-            similarity_map(FeatureMap(np.zeros((3, 2, 2))), PrototypeVector(np.zeros(2)))
+            similarity_map(FeatureMap(np.zeros((3, 2, 2))), np.zeros(2))
 
     def test_param_width_checked(self):
         params = LinearParams(np.zeros((1, 4)), np.zeros(1))
         with pytest.raises(ShapeMismatch):
-            similarity_map(FeatureMap(np.zeros((3, 2, 2))), PrototypeVector(np.zeros(3)), params)
+            similarity_map(FeatureMap(np.zeros((3, 2, 2))), np.zeros(3), params)
 
 
 class TestFuseConfidence:
@@ -192,6 +233,24 @@ class TestCalibration:
         )
         with pytest.raises(ShapeMismatch):
             spatial_consistency_calibrate(FeatureMap(np.zeros((3, 2, 2))), params)
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_MAPS))
+    def test_matches_elementwise_reference(self, case):
+        data, transform = REFERENCE_MAPS[case]
+        got = spatial_consistency_calibrate(FeatureMap(data), transform).data
+        want = _reference_calibrate(FeatureMap(data), transform)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    def test_memory_is_linear_in_pixels(self):
+        # a full HW x HW float64 table alone would be 128 MB here
+        fused = FeatureMap(np.random.default_rng(50).standard_normal((8, 64, 64)))
+        tracemalloc.start()
+        try:
+            spatial_consistency_calibrate(fused)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_layer_width_consistency_checked(self):
         with pytest.raises(ValueError, match="widths"):
