@@ -11,6 +11,7 @@ Environment: POISSONPROP_SEED overrides the seed of a synth spec.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -133,20 +134,11 @@ def _cmd_synth(args) -> int:
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n"
     )
-    echo = {
-        "channels": spec.channels,
-        "height": spec.height,
-        "width": spec.width,
-        "fg_mean": spec.fg_mean.tolist(),
-        "bg_mean": spec.bg_mean.tolist(),
-        "noise_scale": spec.noise_scale,
-        "shape": spec.shape,
-        "center": list(spec.center),
-        "size": list(spec.size) if isinstance(spec.size, tuple) else spec.size,
-        "seed": spec.seed,
-        "n_auxiliary": spec.n_auxiliary,
-    }
-    (out_dir / "spec.json").write_text(json.dumps(echo, sort_keys=True, indent=2) + "\n")
+    # every spec field, arrays as lists (tuples are JSON arrays already)
+    echo = dataclasses.asdict(spec)
+    (out_dir / "spec.json").write_text(
+        json.dumps(echo, default=np.ndarray.tolist, sort_keys=True, indent=2) + "\n"
+    )
     print(f"synth: wrote episode for seed {spec.seed} to {out_dir}")
     return 0
 

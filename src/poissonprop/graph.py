@@ -12,7 +12,6 @@ BLAS thread count and working memory stays O(block * n).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,14 +24,21 @@ DISTANCE_FLOOR = 1e-12
 _BLOCK_ROWS = 64
 
 
+def _as_points(points) -> np.ndarray:
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    if pts.ndim != 2:
+        raise ValueError("points must be an (n, C) array")
+    return pts
+
+
 @dataclass(frozen=True)
 class VertexSet:
     """Vertices for propagation: support block, then auxiliary, then query.
 
     The first ``n_s`` vertices carry class labels in {0..k-1}; class
-    k-1 is foreground by convention. A class with no labeled vertex is
-    reported as a warning (the degenerate single-class case must still
-    flow through and yield an all-zero propagation).
+    k-1 is foreground by convention. A class may lack labeled vertices
+    (``poisson.build_source`` warns about it), so the degenerate
+    single-class case still flows through to an all-zero propagation.
     """
 
     points: np.ndarray = field(repr=False)
@@ -43,9 +49,7 @@ class VertexSet:
     k: int = 2
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(self.points, dtype=np.float64)
-        if pts.ndim != 2:
-            raise ValueError("points must be an (n, C) array")
+        pts = _as_points(self.points)
         labels = np.asarray(self.labels, dtype=np.int64)
         if self.n_s < 0 or self.n_a < 0 or self.n_q < 0:
             raise ValueError("block counts must be nonnegative")
@@ -60,13 +64,6 @@ class VertexSet:
             raise ValueError("class count must be positive")
         if labels.size and (labels.min() < 0 or labels.max() >= self.k):
             raise ValueError(f"labels must lie in [0, {self.k})")
-        missing = set(range(self.k)) - set(labels.tolist())
-        if missing:
-            warnings.warn(
-                f"classes {sorted(missing)} have no labeled vertex; "
-                "propagation from a single-class source is identically zero",
-                stacklevel=2,
-            )
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "labels", labels)
 
@@ -106,13 +103,6 @@ class WeightedGraph:
         if np.any(degrees <= 0.0):
             raise ValueError("every vertex must have positive degree")
         return cls(n=n, weights=w, degrees=degrees)
-
-
-def _as_points(points) -> np.ndarray:
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    if pts.ndim != 2:
-        raise ValueError("points must be an (n, C) array")
-    return pts
 
 
 # Screening margin. Let u = 2^-53 (eps = 2u), x~ = fl(x - mean) and

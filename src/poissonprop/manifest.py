@@ -13,14 +13,17 @@ Episode manifest keys (paths are resolved relative to the manifest):
         sim_weight, sim_bias           tensor files for the similarity map
         h_w1, h_b1, h_w2, h_b2         tensor files for the calibration MLP
 
-Synth spec keys: channels, height, width, fg_mean, bg_mean,
-noise_scale, shape ("rect"|"disk"), center [i, j], size ([h, w] or
-radius), seed, n_auxiliary (optional).
+Config values are checked for type on load: integers (not booleans)
+for knn_k and t_max, numbers for tol and the thresholds, strings for
+files. Synth spec keys are the fields of SynthSpec; those without a
+default are required.
 """
 
 from __future__ import annotations
 
 import json
+import typing
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .episode import Episode, EpisodeConfig
@@ -30,21 +33,20 @@ from .synth import SynthSpec
 from .tensor import FeatureMap, SoftMask
 from .tensorfile import load_tensor
 
-_CONFIG_KEYS = {
-    "window",
-    "knn_k",
-    "tol",
-    "t_max",
-    "label_threshold",
-    "prediction_threshold",
-    "prediction_mode",
-    "sim_weight",
-    "sim_bias",
-    "h_w1",
-    "h_b1",
-    "h_w2",
-    "h_b2",
-}
+# JSON values a field of each type accepts; a bool is not a number
+_ACCEPTS = {int: (int,), float: (int, float), str: (str,)}
+
+
+def _scalar_fields(cls) -> dict:
+    """Fields of dataclass ``cls`` that take a JSON scalar, with their types."""
+    return {k: t for k, t in typing.get_type_hints(cls).items() if t in _ACCEPTS}
+
+
+# scalar config keys go to EpisodeConfig as they are; file keys name the
+# (weight, bias) tensors of the similarity map and of each MLP layer
+_SCALAR_KEYS = _scalar_fields(EpisodeConfig)
+_FILE_KEYS = ("sim_weight", "sim_bias", "h_w1", "h_b1", "h_w2", "h_b2")
+_CONFIG_KEYS = {"window", *_SCALAR_KEYS, *_FILE_KEYS}
 
 _MANIFEST_KEYS = {
     "support_features",
@@ -72,36 +74,37 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _typed(key: str, value, kind: type):
+    """``value``, if a field of type ``kind`` accepts it."""
+    if isinstance(value, bool) or not isinstance(value, _ACCEPTS[kind]):
+        raise ManifestError(f"{key}: expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _load_array(base: Path, key: str, rel, rank: int):
+    data = load_tensor(base / _typed(key, rel, str)).data
+    if data.ndim != rank:
+        raise ManifestError(f"{key}: expected a rank-{rank} tensor, got rank {data.ndim}")
+    return data
+
+
 def _load_feature_map(base: Path, key: str, rel) -> FeatureMap:
-    if not isinstance(rel, str):
-        raise ManifestError(f"{key}: expected a file path string")
-    tensor = load_tensor(base / rel)
-    if tensor.data.ndim != 3:
-        raise ManifestError(f"{key}: expected a rank-3 tensor, got rank {tensor.data.ndim}")
-    return FeatureMap(tensor.data)
+    return FeatureMap(_load_array(base, key, rel, 3))
 
 
 def _load_mask(base: Path, key: str, rel) -> SoftMask:
-    if not isinstance(rel, str):
-        raise ManifestError(f"{key}: expected a file path string")
-    tensor = load_tensor(base / rel)
-    if tensor.data.ndim != 2:
-        raise ManifestError(f"{key}: expected a rank-2 tensor, got rank {tensor.data.ndim}")
+    data = _load_array(base, key, rel, 2)
     try:
-        return SoftMask(tensor.data)
+        return SoftMask(data)
     except ValueError as err:
         raise ManifestError(f"{key}: {err}") from err
 
 
 def _load_linear(base: Path, cfg: dict, weight_key: str, bias_key: str) -> LinearParams:
-    weight = load_tensor(base / cfg[weight_key]).data
-    if weight.ndim != 2:
-        raise ManifestError(f"{weight_key}: weight must be rank 2")
+    weight = _load_array(base, weight_key, cfg[weight_key], 2)
     bias = None
     if bias_key in cfg:
-        bias = load_tensor(base / cfg[bias_key]).data
-        if bias.ndim != 1:
-            raise ManifestError(f"{bias_key}: bias must be rank 1")
+        bias = _load_array(base, bias_key, cfg[bias_key], 1)
     try:
         return LinearParams(weight, bias)
     except ValueError as err:
@@ -114,31 +117,25 @@ def _parse_config(base: Path, cfg) -> EpisodeConfig:
     unknown = set(cfg) - _CONFIG_KEYS
     if unknown:
         raise ManifestError(f"{sorted(unknown)[0]}: unknown config key")
-    kwargs = {}
+    kwargs = {
+        key: _typed(key, cfg[key], kind)
+        for key, kind in _SCALAR_KEYS.items()
+        if key in cfg
+    }
     if "window" in cfg:
         window = cfg["window"]
         if (
             not isinstance(window, list)
             or len(window) != 2
-            or not all(isinstance(v, int) and v > 0 for v in window)
+            or not all(type(v) is int and v > 0 for v in window)
         ):
             raise ManifestError("window: expected two positive integers")
         kwargs["window"] = tuple(window)
-    for key, target in (
-        ("knn_k", "knn_k"),
-        ("tol", "tol"),
-        ("t_max", "t_max"),
-        ("label_threshold", "label_threshold"),
-        ("prediction_threshold", "prediction_threshold"),
-        ("prediction_mode", "prediction_mode"),
-    ):
-        if key in cfg:
-            kwargs[target] = cfg[key]
     if "sim_weight" in cfg:
         kwargs["sim_params"] = _load_linear(base, cfg, "sim_weight", "sim_bias")
     elif "sim_bias" in cfg:
         raise ManifestError("sim_bias: given without sim_weight")
-    mlp_keys = [k for k in ("h_w1", "h_b1", "h_w2", "h_b2") if k in cfg]
+    mlp_keys = [k for k in _FILE_KEYS[2:] if k in cfg]
     if mlp_keys and not {"h_w1", "h_w2"} <= set(cfg):
         raise ManifestError(
             f"{mlp_keys[0]}: calibration MLP needs both h_w1 and h_w2"
@@ -193,34 +190,25 @@ def load_episode_manifest(path) -> Episode:
 def load_synth_spec(path, seed_override: int | None = None) -> SynthSpec:
     """Load a synth spec document, optionally overriding its seed."""
     doc = _read_json(path)
-    for key in ("channels", "height", "width", "fg_mean", "bg_mean",
-                "noise_scale", "shape", "center", "size", "seed"):
-        _require(doc, key)
-    unknown = set(doc) - {
-        "channels", "height", "width", "fg_mean", "bg_mean", "noise_scale",
-        "shape", "center", "size", "seed", "n_auxiliary",
-    }
+    spec_fields = fields(SynthSpec)
+    for f in spec_fields:
+        if f.default is MISSING:
+            _require(doc, f.name)
+    unknown = set(doc) - {f.name for f in spec_fields}
     if unknown:
         raise ManifestError(f"{sorted(unknown)[0]}: unknown synth key")
-    size = doc["size"]
-    if isinstance(size, list):
-        size = tuple(size)
+    for key, kind in _scalar_fields(SynthSpec).items():
+        if key in doc:
+            _typed(key, doc[key], kind)
     center = doc["center"]
     if not isinstance(center, list) or len(center) != 2:
         raise ManifestError("center: expected [row, col]")
+    doc["center"] = tuple(_typed("center", v, float) for v in center)
+    if isinstance(doc["size"], list):
+        doc["size"] = tuple(doc["size"])
+    if seed_override is not None:
+        doc["seed"] = seed_override
     try:
-        return SynthSpec(
-            channels=doc["channels"],
-            height=doc["height"],
-            width=doc["width"],
-            fg_mean=doc["fg_mean"],
-            bg_mean=doc["bg_mean"],
-            noise_scale=doc["noise_scale"],
-            shape=doc["shape"],
-            center=tuple(center),
-            size=size,
-            seed=doc["seed"] if seed_override is None else seed_override,
-            n_auxiliary=doc.get("n_auxiliary", 2),
-        )
+        return SynthSpec(**doc)
     except (TypeError, ValueError) as err:
         raise ManifestError(f"{path}: {err}") from err

@@ -93,9 +93,9 @@ def build_source(one_hot_labels, n: int, k: int) -> LabelSource:
 
     Column i of the result is label_i minus the mean label vector for
     i < n_s, zero otherwise, so all columns sum to the zero vector.
-    Warns when the centered source vanishes entirely (single labeled
-    vertex, or all labels identical): propagation then returns all
-    zeros.
+    Warns when a class has no labeled vertex: its scores are then
+    identically zero, and when only one class is labeled (or only one
+    vertex) the whole source vanishes and propagation returns all zeros.
     """
     labels = np.ascontiguousarray(one_hot_labels, dtype=np.float64)
     if labels.ndim != 2:
@@ -113,10 +113,17 @@ def build_source(one_hot_labels, n: int, k: int) -> LabelSource:
     mean = labels.mean(axis=0)
     values = np.zeros((k, n), dtype=np.float64)
     values[:, :n_s] = (labels - mean).T
+    missing = np.flatnonzero(labels.sum(axis=0) == 0.0)
     if not np.any(values):
         warnings.warn(
             "all labeled vertices share one class; the centered source is zero "
             "and propagation will return an all-zero solution",
+            stacklevel=2,
+        )
+    elif missing.size:
+        warnings.warn(
+            f"classes {missing.tolist()} have no labeled vertex; "
+            "their propagated scores are identically zero",
             stacklevel=2,
         )
     return LabelSource(k=k, n=n, n_s=n_s, values=values)
@@ -150,7 +157,8 @@ def solve_iterative(
 
     Stops when the max-norm of an update falls below ``tol``
     (converged=True) or after ``t_max`` iterations (converged=False,
-    with a UserWarning naming the step and the true residual).
+    with a UserWarning; the step and the true residual are on the
+    result).
     ``on_iterate(t, scores)`` is called after each update when given;
     it must not mutate its argument.
     """
@@ -177,9 +185,10 @@ def solve_iterative(
             break
     residual_inf = _residual_inf(graph, source, scores)
     if step >= tol:
+        # fixed text: per-call numbers would add a registry entry per call
         warnings.warn(
-            f"fixed-point iteration stopped unconverged after {t} iterations: "
-            f"final_step={step!r}, residual_inf={residual_inf!r}",
+            "fixed-point iteration stopped unconverged at t_max; see the "
+            "result's final_step and residual_inf",
             stacklevel=2,
         )
     return PropagationResult(
@@ -205,8 +214,7 @@ def solve_direct(graph: WeightedGraph, source: LabelSource) -> PropagationResult
         )
     lap = np.diag(graph.degrees) - graph.weights.toarray()
     scores, *_ = np.linalg.lstsq(lap, source.values.T, rcond=None)
-    shift = (graph.degrees @ scores) / graph.degrees.sum()
-    scores = scores - shift[None, :]
+    scores = degree_weighted_center(scores, graph.degrees)
     return PropagationResult(
         scores=scores,
         iterations=0,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ShapeMismatch
 from .poisson import ConfidenceMap
-from .tensor import FeatureMap, ZERO_NORM_EPS, _as_float64
+from .tensor import FeatureMap, _as_float64, _unit_rows
 
 _BLOCK_ROWS = 64
 
@@ -74,15 +74,6 @@ class TwoLayerParams:
     def apply(self, vectors: np.ndarray) -> np.ndarray:
         hidden = np.maximum(self.first.apply(vectors), 0.0)
         return self.second.apply(hidden)
-
-
-def _unit_rows(vectors: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit norm; a row with norm below 1e-12 becomes zero."""
-    norms = np.linalg.norm(vectors, axis=1)
-    unit = np.zeros_like(vectors)
-    ok = norms >= ZERO_NORM_EPS
-    unit[ok] = vectors[ok] / norms[ok, None]
-    return unit
 
 
 def similarity_map(

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import LengthMismatch, UpsampleRequested, WindowTooLarge
 
@@ -107,7 +108,7 @@ def avg_pool(
     if stride is None:
         stride = window
     sh, sw = stride
-    c, h, w = fmap.data.shape
+    h, w = fmap.data.shape[1:]
     if wh < 1 or ww < 1 or sh < 1 or sw < 1:
         raise ValueError("window and stride must be positive")
     if wh > h or ww > w:
@@ -116,14 +117,20 @@ def avg_pool(
         raise ValueError(
             f"window {window} with stride {stride} does not tile extent {(h, w)}"
         )
-    oh = (h - wh) // sh + 1
-    ow = (w - ww) // sw + 1
-    out = np.empty((c, oh, ow), dtype=np.float64)
-    for i in range(oh):
-        for j in range(ow):
-            block = fmap.data[:, i * sh : i * sh + wh, j * sw : j * sw + ww]
-            out[:, i, j] = block.mean(axis=(1, 2))
+    # the contiguous copy gives each window's mean the loop-over-windows
+    # summation order, so the bytes do not depend on the view's strides
+    windows = sliding_window_view(fmap.data, window, axis=(1, 2))[:, ::sh, ::sw]
+    out = np.ascontiguousarray(windows).mean(axis=(-2, -1))
     return FeatureMap(out)
+
+
+def _unit_rows(vectors: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit norm; a row with norm below 1e-12 becomes zero."""
+    norms = np.linalg.norm(vectors, axis=1)
+    unit = np.zeros_like(vectors)
+    ok = norms >= ZERO_NORM_EPS
+    unit[ok] = vectors[ok] / norms[ok, None]
+    return unit
 
 
 def cosine_similarity(u, v) -> float:
@@ -136,27 +143,17 @@ def cosine_similarity(u, v) -> float:
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape or u.ndim != 1:
         raise LengthMismatch(f"vector lengths differ: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu < ZERO_NORM_EPS or nv < ZERO_NORM_EPS:
-        return 0.0
-    return float(np.clip(float(u @ v) / (nu * nv), -1.0, 1.0))
+    unit = _unit_rows(np.stack([u, v]))
+    return float(np.clip(unit[0] @ unit[1], -1.0, 1.0))
 
 
 def _overlap_weights(src: int, dst: int) -> np.ndarray:
     """(dst, src) matrix of fractional cell overlaps; rows sum to 1."""
     scale = src / dst
-    weights = np.zeros((dst, src), dtype=np.float64)
-    for i in range(dst):
-        lo = i * scale
-        hi = (i + 1) * scale
-        first = int(np.floor(lo))
-        last = int(np.ceil(hi))
-        for s in range(first, min(last, src)):
-            cover = min(hi, s + 1) - max(lo, s)
-            if cover > 0:
-                weights[i, s] = cover / scale
-    return weights
+    rows = np.arange(dst)[:, None]
+    cells = np.arange(src)
+    cover = np.minimum((rows + 1) * scale, cells + 1) - np.maximum(rows * scale, cells)
+    return np.where(cover > 0, cover, 0.0) / scale
 
 
 def downsample_mask(mask: SoftMask, target: tuple[int, int]) -> SoftMask:

@@ -1,11 +1,14 @@
 import json
 
 import numpy as np
+import pytest
 
 import poissonprop as pp
 from _util import two_blob_spec
 from poissonprop import load_tensor, save_tensor
 from poissonprop.cli import main
+from poissonprop.errors import ManifestError
+from poissonprop.manifest import load_synth_spec
 from poissonprop.tensorfile import DTYPE_U8
 
 SPEC_DOC = {
@@ -164,7 +167,118 @@ class TestSynthAndEpisode:
         assert np.array_equal(load_tensor(out_dir / "predicted_mask.t").data, res.mask_poisson)
 
 
+GOLDEN_SPEC_JSON = """{
+  "bg_mean": [
+    0.0,
+    0.0
+  ],
+  "center": [
+    7,
+    8
+  ],
+  "channels": 2,
+  "fg_mean": [
+    1.5,
+    -0.25
+  ],
+  "height": 16,
+  "n_auxiliary": 1,
+  "noise_scale": 1.0,
+  "seed": 0,
+  "shape": "rect",
+  "size": [
+    8,
+    6
+  ],
+  "width": 16
+}
+"""
+
+GOLDEN_MANIFEST_JSON = """{
+  "auxiliary_features": [
+    "aux_000.t"
+  ],
+  "config": {},
+  "query_features": "query_features.t",
+  "query_mask": "query_mask.t",
+  "support_features": "support_features.t",
+  "support_mask": "support_mask.t"
+}
+"""
+
+
+class TestSynthSpec:
+    def test_echo_and_manifest_bytes(self, tmp_path):
+        spec = write_spec(
+            tmp_path, channels=2, fg_mean=[1.5, -0.25], bg_mean=[0, 0],
+            shape="rect", size=[8, 6], center=[7, 8], n_auxiliary=1,
+        )
+        assert main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path / "ep")]) == 0
+        assert (tmp_path / "ep" / "spec.json").read_text() == GOLDEN_SPEC_JSON
+        assert (tmp_path / "ep" / "manifest.json").read_text() == GOLDEN_MANIFEST_JSON
+
+    def test_first_missing_key_in_field_order(self, tmp_path):
+        doc = {k: v for k, v in SPEC_DOC.items() if k not in ("seed", "height")}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ManifestError, match="^height: required key missing"):
+            load_synth_spec(path)
+
+    def test_unknown_key_named(self, tmp_path):
+        with pytest.raises(ManifestError, match="^colour: unknown synth key"):
+            load_synth_spec(write_spec(tmp_path, colour="red"))
+
+    @pytest.mark.parametrize("center", [[1.0, 2.0, 3.0], "7,8", [7.0, "8"]])
+    def test_bad_center_rejected(self, tmp_path, center):
+        with pytest.raises(ManifestError, match="^center: "):
+            load_synth_spec(write_spec(tmp_path, center=center))
+
+    def test_list_size_becomes_tuple(self, tmp_path):
+        spec = load_synth_spec(write_spec(tmp_path, shape="rect", size=[8, 6]))
+        assert spec.size == (8, 6) and isinstance(spec.size, tuple)
+        assert spec.center == (7.75, 8.45)
+
+    def test_seed_override(self, tmp_path):
+        path = write_spec(tmp_path, seed=3)
+        assert load_synth_spec(path).seed == 3
+        assert load_synth_spec(path, seed_override=99).seed == 99
+
+
 class TestManifestErrors:
+    @pytest.mark.parametrize(
+        "command, key, values",
+        [
+            ("episode", "knn_k", {"knn_k": "ten"}),
+            ("episode", "knn_k", {"knn_k": True}),
+            ("episode", "t_max", {"t_max": 10.0}),
+            ("episode", "tol", {"tol": "1e-6"}),
+            ("episode", "label_threshold", {"label_threshold": None}),
+            ("episode", "sim_weight", {"sim_weight": 5}),
+            ("episode", "h_w1", {"h_w1": ["w.t"], "h_w2": "w2.t"}),
+            ("synth", "seed", {"seed": "x"}),
+            ("synth", "height", {"height": 16.5}),
+            ("synth", "noise_scale", {"noise_scale": "1"}),
+        ],
+    )
+    def test_wrong_type_named(self, tmp_path, capsys, command, key, values):
+        if command == "synth":
+            path = write_spec(tmp_path, **values)
+            argv = ["synth", "--spec", str(path)]
+        else:
+            path = tmp_path / "m.json"
+            path.write_text(json.dumps({
+                "support_features": "s.t",
+                "support_mask": "m.t",
+                "query_features": "q.t",
+                "config": values,
+            }))
+            argv = ["episode", "--manifest", str(path)]
+        assert main([*argv, "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ManifestError: {key}: expected ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
     def test_missing_key_named(self, tmp_path, capsys):
         man = tmp_path / "m.json"
         man.write_text(json.dumps({"support_mask": "x.t"}))

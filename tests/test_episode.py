@@ -199,6 +199,15 @@ class TestDegenerateEpisodes:
         assert np.all(res.propagation.scores == 0.0)
         assert np.all(res.confidence.values == 0.5)
 
+    def test_single_class_support_warns_once(self):
+        ep, _ = pp.synth_episode(two_blob_spec(12))
+        full = SoftMask(np.ones((16, 16)))
+        ep = dataclasses.replace(ep, support=(ep.support[0], full))
+        with pytest.warns(UserWarning, match="one class") as record:
+            res = run_episode(ep)
+        assert len(record) == 1
+        assert np.all(res.propagation.scores == 0.0)
+
     def test_all_zero_support_mask_raises_degenerate(self):
         ep, _ = pp.synth_episode(two_blob_spec(10))
         empty = SoftMask(np.zeros((16, 16)))

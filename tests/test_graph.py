@@ -246,10 +246,6 @@ class TestVertexSet:
         with pytest.raises(ValueError):
             VertexSet(np.zeros((3, 2)), n_s=1, n_a=1, n_q=2, labels=np.array([0]), k=2)
 
-    def test_missing_class_warns(self):
-        with pytest.warns(UserWarning, match="no labeled vertex"):
-            VertexSet(np.zeros((3, 2)), n_s=1, n_a=0, n_q=2, labels=np.array([1]), k=2)
-
     def test_one_hot(self):
         vs = VertexSet(
             np.zeros((4, 2)), n_s=2, n_a=1, n_q=1, labels=np.array([1, 0]), k=2

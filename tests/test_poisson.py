@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,13 @@ class TestBuildSource:
             src = build_source(np.array([[1.0, 0.0]]), 4, 2)
         assert np.all(src.values == 0.0)
 
+    def test_missing_class_warns(self):
+        labels = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        with pytest.warns(UserWarning, match=r"classes \[2\] have no labeled vertex"):
+            src = build_source(labels, 4, 3)
+        assert np.all(src.values[2] == 0.0)
+        assert np.any(src.values[:2])
+
     def test_no_labels(self):
         with pytest.raises(NoLabels):
             build_source(np.zeros((0, 2)), 4, 2)
@@ -78,11 +87,19 @@ class TestIterative:
 
     def test_unconverged_stop_warns(self):
         src = build_source(np.eye(2), 2, 2)
-        with pytest.warns(UserWarning, match="1 iterations") as record:
+        with pytest.warns(UserWarning, match="unconverged"):
             res = solve_iterative(K2, src, t_max=1)
-        message = str(record[0].message)
-        assert f"final_step={res.final_step!r}" in message
-        assert f"residual_inf={res.residual_inf!r}" in message
+        assert (res.iterations, res.converged, res.final_step) == (1, False, 0.5)
+        assert res.residual_inf == np.abs(src.values.T - laplacian_apply(K2, res.scores)).max()
+
+    def test_unconverged_warning_registered_once(self):
+        # per-call text would store one registry entry, and print one line, per solve
+        src = build_source(np.eye(2), 2, 2)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("default")
+            for t_max in range(1, 51):
+                assert not solve_iterative(K2, src, t_max=t_max).converged
+        assert len(record) == 1
 
     def test_zero_source_fixed_point(self):
         with pytest.warns(UserWarning):

@@ -3,6 +3,38 @@ import pytest
 
 from poissonprop import FeatureMap, SoftMask, Tensor, avg_pool, cosine_similarity, downsample_mask
 from poissonprop.errors import LengthMismatch, UpsampleRequested, WindowTooLarge
+from poissonprop.tensor import _overlap_weights
+
+
+def _loop_avg_pool(data, window, stride):
+    """Reference: one mean per window, visited in a double loop."""
+    wh, ww = window
+    sh, sw = stride
+    c, h, w = data.shape
+    oh = (h - wh) // sh + 1
+    ow = (w - ww) // sw + 1
+    out = np.empty((c, oh, ow), dtype=np.float64)
+    for i in range(oh):
+        for j in range(ow):
+            block = data[:, i * sh : i * sh + wh, j * sw : j * sw + ww]
+            out[:, i, j] = block.mean(axis=(1, 2))
+    return out
+
+
+def _loop_overlap_weights(src, dst):
+    """Reference: each output cell's overlap with the source cells it spans."""
+    scale = src / dst
+    weights = np.zeros((dst, src), dtype=np.float64)
+    for i in range(dst):
+        lo = i * scale
+        hi = (i + 1) * scale
+        first = int(np.floor(lo))
+        last = int(np.ceil(hi))
+        for s in range(first, min(last, src)):
+            cover = min(hi, s + 1) - max(lo, s)
+            if cover > 0:
+                weights[i, s] = cover / scale
+    return weights
 
 
 class TestContainers:
@@ -90,6 +122,19 @@ class TestAvgPool:
         rhs = a * avg_pool(FeatureMap(f), (2, 2)).data + b * avg_pool(FeatureMap(g), (2, 2)).data
         assert np.allclose(lhs, rhs, atol=1e-12)
 
+    def test_bytes_match_loop_reference(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            c = int(rng.integers(1, 6))
+            window = tuple(int(v) for v in rng.integers(1, 6, 2))
+            stride = tuple(int(v) for v in rng.integers(1, 6, 2))
+            cells = rng.integers(1, 7, 2)
+            h, w = ((cells - 1) * stride + window).tolist()
+            data = rng.standard_normal((c, h, w)) * 10.0 ** rng.uniform(-3, 6)
+            out = avg_pool(FeatureMap(data), window, stride).data
+            ref = _loop_avg_pool(data, window, stride)
+            assert out.tobytes() == ref.tobytes(), (c, h, w, window, stride)
+
 
 class TestCosine:
     def test_identical_vectors(self):
@@ -153,6 +198,12 @@ class TestDownsample:
         out = downsample_mask(mask, (1, 2))
         assert out.data[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert out.data[0, 1] == pytest.approx(0.5 / 1.5, abs=1e-12)
+
+    def test_overlap_weights_match_loop_reference(self):
+        for src in range(1, 65):
+            for dst in range(1, src + 1):
+                out = _overlap_weights(src, dst)
+                assert out.tobytes() == _loop_overlap_weights(src, dst).tobytes(), (src, dst)
 
     def test_values_stay_in_range(self):
         rng = np.random.default_rng(6)
