@@ -117,33 +117,22 @@ class EpisodeResult:
         return self.dsc_calibrated
 
 
-def predict_mask(
-    confidence: ConfidenceMap,
-    calibrated: FeatureMap,
-    threshold: float = 0.5,
-    mode: str = "poisson",
-) -> np.ndarray:
-    """Binary foreground mask at feature resolution.
+def predict_mask(values, threshold: float = 0.5) -> np.ndarray:
+    """Binary foreground mask of one (H, W) score map.
 
-    "poisson" thresholds the confidence map directly; "calibrated"
-    thresholds the channel mean of the calibrated map. The threshold is
-    inclusive (values equal to it are foreground).
+    The threshold is inclusive (values equal to it are foreground).
+    ``run_episode`` passes the confidence map for "poisson" mode and the
+    channel mean of the calibrated map for "calibrated" mode.
     """
-    if mode not in PREDICTION_MODES:
-        raise ValueError(f"mode must be one of {PREDICTION_MODES}, got {mode!r}")
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
-    if mode == "poisson":
-        values = confidence.values
-    else:
-        values = calibrated.data.mean(axis=0)
-    return (values >= threshold).astype(np.uint8)
+    return (np.asarray(values) >= threshold).astype(np.uint8)
 
 
 def _stage(name: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except PoissonPropError as err:
+    except (PoissonPropError, ValueError) as err:
         raise type(err)(f"stage {name}: {err}") from err
 
 
@@ -211,11 +200,9 @@ def run_episode(ep: Episode) -> EpisodeResult:
         "calibration", scc.spatial_consistency_calibrate, fused, cfg.calibration_params
     )
 
-    mask_poisson = predict_mask(
-        confidence, calibrated, cfg.prediction_threshold, "poisson"
-    )
+    mask_poisson = predict_mask(confidence.values, cfg.prediction_threshold)
     mask_calibrated = predict_mask(
-        confidence, calibrated, cfg.prediction_threshold, "calibrated"
+        calibrated.data.mean(axis=0), cfg.prediction_threshold
     )
 
     dsc_poisson = dsc_calibrated = None

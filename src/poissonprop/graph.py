@@ -186,20 +186,13 @@ def knn_distances(points, k_neighbors: int) -> np.ndarray:
     return np.maximum(np.sqrt(sq_dists[:, -1]), DISTANCE_FLOOR)
 
 
-def build_weight_graph(
-    points,
-    k_neighbors: int,
-    symmetrization: str = "mean",
-) -> WeightedGraph:
+def build_weight_graph(points, k_neighbors: int) -> WeightedGraph:
     """Sparse self-tuning kNN weight graph.
 
     Raw weights exp(-4 d(i,j)^2 / d_K(i)^2) are computed for the K
-    nearest neighbors of each vertex, then symmetrized: "mean" averages
-    the two directed entries (absent entries count as 0), "max" keeps
-    the larger one.
+    nearest neighbors of each vertex, then symmetrized by averaging the
+    two directed entries (an absent entry counts as 0).
     """
-    if symmetrization not in ("mean", "max"):
-        raise ValueError(f"unknown symmetrization {symmetrization!r}")
     pts = _as_points(points)
     n = pts.shape[0]
     if n < 2:
@@ -211,11 +204,7 @@ def build_weight_graph(
     rows = np.repeat(np.arange(n), k_neighbors)
     vals = np.exp(-4.0 * sq_dists.ravel() / dk2[rows])
     raw = sp.csr_matrix((vals, (rows, neighbors.ravel())), shape=(n, n))
-    if symmetrization == "mean":
-        sym = (raw + raw.T) * 0.5
-    else:
-        sym = raw.maximum(raw.T)
-    return WeightedGraph.from_weights(sym)
+    return WeightedGraph.from_weights((raw + raw.T) * 0.5)
 
 
 def laplacian_apply(graph: WeightedGraph, x: np.ndarray) -> np.ndarray:

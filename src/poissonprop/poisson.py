@@ -164,18 +164,16 @@ def solve_iterative(
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     _check_system(graph, source)
-    n, k = graph.n, source.k
     inv_deg = 1.0 / graph.degrees
     rhs = source.values.T  # (n, k)
-    scores = np.zeros((n, k), dtype=np.float64)
+    scores = np.zeros(rhs.shape, dtype=np.float64)
     step = np.inf
     t = 0
     while t < t_max:
-        residual = rhs - (graph.degrees[:, None] * scores - graph.weights @ scores)
-        update = inv_deg[:, None] * residual
+        update = inv_deg[:, None] * (rhs - laplacian_apply(graph, scores))
         scores = scores + update
         t += 1
         step = float(np.abs(update).max())

@@ -16,8 +16,8 @@ from .tensor import FeatureMap, SoftMask, avg_pool
 def local_prototype_pool(fmap: FeatureMap, window: tuple[int, int]) -> np.ndarray:
     """Pool a feature map into a (cells, C) array, one row per grid cell.
 
-    Cells are in row-major order over the pooled grid; the stride
-    equals the window, so cells do not overlap.
+    Cells are in row-major order over the pooled grid; the windows
+    tile the map, so cells do not overlap.
     """
     return avg_pool(fmap, window).pixel_vectors()
 

@@ -9,6 +9,7 @@ the geometry when the class means are well separated.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,10 @@ from .episode import Episode, EpisodeConfig
 from .tensor import FeatureMap, SoftMask
 
 SHAPES = ("rect", "disk")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -47,6 +52,11 @@ class SynthSpec:
             raise ValueError("noise scale must be nonnegative")
         if self.shape not in SHAPES:
             raise ValueError(f"shape must be one of {SHAPES}, got {self.shape!r}")
+        rect = self.shape == "rect"
+        parts = self.size if rect and isinstance(self.size, tuple) else (self.size,)
+        if len(parts) != 1 + rect or not all(map(_is_number, parts)):
+            need = "[height, width]" if rect else "a radius"
+            raise ValueError(f"size: a {self.shape} needs {need}, got {self.size!r}")
         if self.n_auxiliary < 0:
             raise ValueError("n_auxiliary must be nonnegative")
         object.__setattr__(self, "fg_mean", fg)

@@ -94,32 +94,23 @@ class SoftMask:
         return self.data.shape[1]
 
 
-def avg_pool(
-    fmap: FeatureMap,
-    window: tuple[int, int],
-    stride: tuple[int, int] | None = None,
-) -> FeatureMap:
-    """Channel-wise average pooling.
+def avg_pool(fmap: FeatureMap, window: tuple[int, int]) -> FeatureMap:
+    """Channel-wise average pooling over a non-overlapping tiling.
 
-    The stride defaults to the window (non-overlapping tiling). Windows
-    must tile the spatial extent exactly; partial windows are rejected.
+    Windows must tile the spatial extent exactly; partial windows are
+    rejected.
     """
     wh, ww = window
-    if stride is None:
-        stride = window
-    sh, sw = stride
     h, w = fmap.data.shape[1:]
-    if wh < 1 or ww < 1 or sh < 1 or sw < 1:
-        raise ValueError("window and stride must be positive")
+    if wh < 1 or ww < 1:
+        raise ValueError("window must be positive")
     if wh > h or ww > w:
         raise WindowTooLarge(f"window {window} exceeds spatial extent {(h, w)}")
-    if (h - wh) % sh or (w - ww) % sw:
-        raise ValueError(
-            f"window {window} with stride {stride} does not tile extent {(h, w)}"
-        )
+    if h % wh or w % ww:
+        raise ValueError(f"window {window} does not tile extent {(h, w)}")
     # the contiguous copy gives each window's mean the loop-over-windows
     # summation order, so the bytes do not depend on the view's strides
-    windows = sliding_window_view(fmap.data, window, axis=(1, 2))[:, ::sh, ::sw]
+    windows = sliding_window_view(fmap.data, window, axis=(1, 2))[:, ::wh, ::ww]
     out = np.ascontiguousarray(windows).mean(axis=(-2, -1))
     return FeatureMap(out)
 

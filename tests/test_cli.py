@@ -84,6 +84,21 @@ class TestGraphPropagate:
         err = capsys.readouterr().err
         assert err.startswith("error: DisconnectedGraph:")
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_propagate_rejects_non_finite_tol(self, tmp_path, capsys, tol):
+        gfile = tmp_path / "g.t"
+        save_tensor(gfile, np.array([[0, 1, 1.0]]))
+        lfile = tmp_path / "l.t"
+        save_tensor(lfile, np.eye(2))
+        code = main([
+            "propagate", "--graph", str(gfile), "--labels", str(lfile),
+            "--tol", tol, "--out", str(tmp_path / "r.t"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: tol must be positive and finite")
+        assert not (tmp_path / "r.t").exists()
+
     def test_graph_rejects_bad_rank(self, tmp_path, capsys):
         feat = tmp_path / "feat.t"
         save_tensor(feat, np.zeros((2, 2, 2)))
@@ -238,6 +253,14 @@ class TestSynthSpec:
         assert spec.size == (8, 6) and isinstance(spec.size, tuple)
         assert spec.center == (7.75, 8.45)
 
+    @pytest.mark.parametrize("shape, size", [("rect", 3.0), ("disk", [3, 3])])
+    def test_size_must_fit_shape(self, tmp_path, capsys, shape, size):
+        path = write_spec(tmp_path, shape=shape, size=size)
+        assert main(["synth", "--spec", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ManifestError: ") and f"size: a {shape} needs" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_seed_override(self, tmp_path):
         path = write_spec(tmp_path, seed=3)
         assert load_synth_spec(path).seed == 3
@@ -278,6 +301,27 @@ class TestManifestErrors:
         assert err.startswith(f"error: ManifestError: {key}: expected ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "config, stage",
+        [
+            ({"window": [3, 3]}, "support-pooling"),
+            ({"label_threshold": 1.0}, "prototype-labeling"),
+            ({"knn_k": 0}, "graph-build"),
+            ({"tol": float("inf")}, "propagation"),
+        ],
+    )
+    def test_stage_failure_named(self, tmp_path, capsys, config, stage):
+        synth_dir = tmp_path / "ep"
+        assert main(["synth", "--spec", str(write_spec(tmp_path)), "--out-dir", str(synth_dir)]) == 0
+        manifest = synth_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**doc, "config": config}))
+        capsys.readouterr()
+        assert main(["episode", "--manifest", str(manifest), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ValueError: stage {stage}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_key_named(self, tmp_path, capsys):
         man = tmp_path / "m.json"

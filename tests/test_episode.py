@@ -7,46 +7,33 @@ import poissonprop as pp
 from _util import aligned_rect_spec, two_blob_spec
 from poissonprop import Episode, EpisodeConfig, predict_mask, run_episode, to_triplets
 from poissonprop.errors import DegenerateMask
-from poissonprop.poisson import ConfidenceMap
 from poissonprop.tensor import FeatureMap, SoftMask
-
-
-def _conf(values):
-    return ConfidenceMap(np.asarray(values, dtype=np.float64))
 
 
 class TestPredictMask:
     def test_boundary_is_foreground(self):
-        conf = _conf(np.full((2, 2), 0.5))
-        calibrated = FeatureMap(np.zeros((1, 2, 2)))
-        mask = predict_mask(conf, calibrated, 0.5, "poisson")
+        mask = predict_mask(np.full((2, 2), 0.5), 0.5)
         assert np.array_equal(mask, np.ones((2, 2), dtype=np.uint8))
 
     def test_zero_confidence_all_background(self):
-        conf = _conf(np.zeros((2, 2)))
-        calibrated = FeatureMap(np.zeros((1, 2, 2)))
-        assert np.all(predict_mask(conf, calibrated, 0.5, "poisson") == 0)
+        assert np.all(predict_mask(np.zeros((2, 2)), 0.5) == 0)
 
     def test_raising_threshold_monotone(self):
         rng = np.random.default_rng(60)
-        conf = _conf(rng.uniform(0, 1, (4, 4)))
-        calibrated = FeatureMap(rng.standard_normal((2, 4, 4)))
-        for mode in ("poisson", "calibrated"):
-            prev = predict_mask(conf, calibrated, 0.1, mode)
+        for values in (rng.uniform(0, 1, (4, 4)), rng.standard_normal((4, 4))):
+            prev = predict_mask(values, 0.1)
             for theta in (0.3, 0.5, 0.7, 0.9):
-                cur = predict_mask(conf, calibrated, theta, mode)
+                cur = predict_mask(values, theta)
                 assert np.all(cur <= prev)
                 prev = cur
 
     def test_calibrated_mode_uses_channel_mean(self):
-        conf = _conf(np.zeros((1, 2)))
-        calibrated = FeatureMap(np.stack([np.array([[1.0, 0.0]]), np.array([[0.2, 0.0]])]))
-        mask = predict_mask(conf, calibrated, 0.5, "calibrated")
-        assert np.array_equal(mask, [[1, 0]])
-
-    def test_invalid_mode(self):
-        with pytest.raises(ValueError):
-            predict_mask(_conf(np.zeros((1, 1))), FeatureMap(np.zeros((1, 1, 1))), 0.5, "other")
+        ep, _ = pp.synth_episode(two_blob_spec(3))
+        res = run_episode(ep)
+        theta = res.config.prediction_threshold
+        calibrated = (res.calibrated.data.mean(axis=0) >= theta).astype(np.uint8)
+        assert np.array_equal(res.mask_calibrated, calibrated)
+        assert np.array_equal(res.mask_poisson, (res.confidence.values >= theta).astype(np.uint8))
 
 
 class TestEpisodeValidation:

@@ -98,6 +98,25 @@ def test_graph_build_memory_is_linear():
     assert peak < 64 * 2**20
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="duplicate points: every exact duplicate of a point survives the GEMM "
+    "screen, so each 64-row block recomputes (64 x duplicates x C) differences; "
+    "1024 points in two duplicate groups at C=32 peak at 27 MB, distinct points at 3 MB",
+)
+def test_graph_build_memory_on_duplicate_points():
+    centres = np.random.default_rng(33).standard_normal((2, 32))
+    points = centres[np.arange(1024) % 2]
+    tracemalloc.start()
+    try:
+        build_weight_graph(points, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 class TestKnnDistances:
     def test_line_k1(self):
         assert np.array_equal(knn_distances(LINE, 1), [1.0, 1.0, 2.0])
@@ -168,16 +187,6 @@ class TestBuildWeightGraph:
         g = build_weight_graph(pts, 1)
         assert g.weights[0, 1] == pytest.approx(np.exp(-4.0), rel=1e-12)
         assert g.weights[0, 2] == pytest.approx(np.exp(-4.0) / 2.0, rel=1e-12)
-
-    def test_max_symmetrization(self):
-        # asymmetric bandwidths: one-sided edges keep full weight under max
-        pts = np.array([[0.0], [1.0], [1.2], [5.0]])
-        mean_g = build_weight_graph(pts, 1, symmetrization="mean")
-        max_g = build_weight_graph(pts, 1, symmetrization="max")
-        dense_mean = mean_g.weights.toarray()
-        dense_max = max_g.weights.toarray()
-        assert np.all(dense_max >= dense_mean - 1e-15)
-        assert (dense_max > dense_mean + 1e-15).any()
 
     def test_psd_quadratic_form(self):
         rng = np.random.default_rng(24)

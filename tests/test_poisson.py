@@ -199,6 +199,12 @@ class TestIterative:
         with pytest.raises(ValueError):
             solve_iterative(K2, src, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [np.inf, np.nan])
+    def test_non_finite_tol_rejected(self, tol):
+        # inf once stopped after one step as "converged"; nan never stopped
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            solve_iterative(K2, build_source(np.eye(2), 2, 2), tol=tol)
+
 
 class TestDirect:
     def test_two_vertex_value(self):

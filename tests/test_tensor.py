@@ -6,17 +6,16 @@ from poissonprop.errors import LengthMismatch, UpsampleRequested, WindowTooLarge
 from poissonprop.tensor import _overlap_weights
 
 
-def _loop_avg_pool(data, window, stride):
+def _loop_avg_pool(data, window):
     """Reference: one mean per window, visited in a double loop."""
     wh, ww = window
-    sh, sw = stride
     c, h, w = data.shape
-    oh = (h - wh) // sh + 1
-    ow = (w - ww) // sw + 1
+    oh = h // wh
+    ow = w // ww
     out = np.empty((c, oh, ow), dtype=np.float64)
     for i in range(oh):
         for j in range(ow):
-            block = data[:, i * sh : i * sh + wh, j * sw : j * sw + ww]
+            block = data[:, i * wh : (i + 1) * wh, j * ww : (j + 1) * ww]
             out[:, i, j] = block.mean(axis=(1, 2))
     return out
 
@@ -81,7 +80,7 @@ class TestAvgPool:
     def test_unit_window_is_identity(self):
         rng = np.random.default_rng(0)
         fmap = FeatureMap(rng.standard_normal((3, 4, 5)))
-        out = avg_pool(fmap, (1, 1), (1, 1))
+        out = avg_pool(fmap, (1, 1))
         assert np.array_equal(out.data, fmap.data)
 
     def test_constant_map_stays_constant(self):
@@ -108,11 +107,6 @@ class TestAvgPool:
         with pytest.raises(ValueError, match="tile"):
             avg_pool(fmap, (2, 2))
 
-    def test_overlapping_stride(self):
-        fmap = FeatureMap(np.arange(4.0).reshape(1, 1, 4))
-        out = avg_pool(fmap, (1, 2), (1, 1))
-        assert np.allclose(out.data[0, 0], [0.5, 1.5, 2.5])
-
     def test_linearity(self):
         rng = np.random.default_rng(2)
         f = rng.standard_normal((2, 4, 4))
@@ -127,13 +121,12 @@ class TestAvgPool:
         for _ in range(300):
             c = int(rng.integers(1, 6))
             window = tuple(int(v) for v in rng.integers(1, 6, 2))
-            stride = tuple(int(v) for v in rng.integers(1, 6, 2))
             cells = rng.integers(1, 7, 2)
-            h, w = ((cells - 1) * stride + window).tolist()
+            h, w = (cells * window).tolist()
             data = rng.standard_normal((c, h, w)) * 10.0 ** rng.uniform(-3, 6)
-            out = avg_pool(FeatureMap(data), window, stride).data
-            ref = _loop_avg_pool(data, window, stride)
-            assert out.tobytes() == ref.tobytes(), (c, h, w, window, stride)
+            out = avg_pool(FeatureMap(data), window).data
+            ref = _loop_avg_pool(data, window)
+            assert out.tobytes() == ref.tobytes(), (c, h, w, window)
 
 
 class TestCosine:
