@@ -46,13 +46,7 @@ def _cmd_propagate(args) -> int:
     triplets = load_tensor(args.graph).data
     g = graph_mod.from_triplets(triplets)
     labels = load_tensor(args.labels).data
-    if labels.ndim != 2:
-        raise ValueError(f"--labels must be a rank-2 (n_s, k) tensor, got rank {labels.ndim}")
-    if labels.shape[1] != args.k_classes:
-        raise ValueError(
-            f"--labels has {labels.shape[1]} classes but --k-classes is {args.k_classes}"
-        )
-    source = poisson.build_source(labels, g.n, args.k_classes)
+    source = poisson.build_source(labels, g.n)
     result = poisson.solve_iterative(g, source, t_max=args.tmax, tol=args.tol)
     save_tensor(args.out, result.scores)
     print(f"iterations: {result.iterations}")
@@ -159,7 +153,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("propagate", help="solve the graph Poisson system")
     p.add_argument("--graph", required=True, help="edge-triplet tensor file")
     p.add_argument("--labels", required=True, help="rank-2 (n_s, k) one-hot tensor file")
-    p.add_argument("--k-classes", type=int, default=2)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--tmax", type=int, default=1000)
     p.add_argument("--out", required=True, help="output (n, k) solution tensor file")

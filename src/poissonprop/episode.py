@@ -10,7 +10,7 @@ Every intermediate is kept on the result for inspection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -144,11 +144,7 @@ def run_episode(ep: Episode) -> EpisodeResult:
     sup_protos = _stage(
         "support-pooling", prototype.local_prototype_pool, sup_map, cfg.window
     )
-    grid_h = sup_map.height // cfg.window[0]
-    grid_w = sup_map.width // cfg.window[1]
-    grid_mask = _stage(
-        "mask-downsampling", downsample_mask, sup_mask, (grid_h, grid_w)
-    )
+    grid_mask = _stage("mask-downsampling", downsample_mask, sup_mask, cfg.window)
     labels = _stage(
         "prototype-labeling",
         prototype.assign_prototype_labels,
@@ -160,13 +156,10 @@ def run_episode(ep: Episode) -> EpisodeResult:
         for aux in ep.auxiliary
     ]
     aux_protos = np.concatenate([np.empty((0, sup_map.channels)), *aux_pools])
-    query_pixels = ep.query.pixel_vectors()
     vertices = VertexSet(
-        points=np.concatenate([sup_protos, aux_protos, query_pixels]),
-        n_s=len(sup_protos),
-        n_a=len(aux_protos),
-        n_q=len(query_pixels),
+        points=np.concatenate([sup_protos, aux_protos, ep.query.pixel_vectors()]),
         labels=labels,
+        n_a=len(aux_protos),
         k=2,
     )
 
@@ -176,7 +169,6 @@ def run_episode(ep: Episode) -> EpisodeResult:
         poisson.build_source,
         vertices.one_hot_labels(),
         vertices.n,
-        vertices.k,
     )
     propagation = _stage(
         "propagation", poisson.solve_iterative, graph, source, cfg.t_max, cfg.tol
@@ -185,7 +177,6 @@ def run_episode(ep: Episode) -> EpisodeResult:
         "confidence-extraction",
         poisson.extract_confidence_map,
         propagation,
-        vertices.n_q,
         ep.query.height,
         ep.query.width,
     )
@@ -230,8 +221,3 @@ def run_episode(ep: Episode) -> EpisodeResult:
         dsc_poisson=dsc_poisson,
         dsc_calibrated=dsc_calibrated,
     )
-
-
-def with_config(ep: Episode, **overrides) -> Episode:
-    """Copy an episode with config fields replaced."""
-    return replace(ep, config=replace(ep.config, **overrides))

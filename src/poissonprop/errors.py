@@ -19,10 +19,6 @@ class LengthMismatch(PoissonPropError):
     """Vectors of different lengths where equal lengths are required."""
 
 
-class UpsampleRequested(PoissonPropError):
-    """Downsampling target is larger than the source."""
-
-
 # --- prototypes ---
 
 class GridMismatch(PoissonPropError):

@@ -35,31 +35,25 @@ def _as_points(points) -> np.ndarray:
 class VertexSet:
     """Vertices for propagation: support block, then auxiliary, then query.
 
-    The first ``n_s`` vertices carry class labels in {0..k-1}; class
-    k-1 is foreground by convention. A class may lack labeled vertices
-    (``poisson.build_source`` warns about it), so the degenerate
-    single-class case still flows through to an all-zero propagation.
+    The first ``n_s = len(labels)`` vertices carry class labels in
+    {0..k-1}; class k-1 is foreground by convention. A class may lack
+    labeled vertices (``poisson.build_source`` warns about it), so the
+    degenerate single-class case still flows through to an all-zero
+    propagation.
     """
 
     points: np.ndarray = field(repr=False)
-    n_s: int
-    n_a: int
-    n_q: int
     labels: np.ndarray = field(repr=False)
+    n_a: int
     k: int = 2
 
     def __post_init__(self):
         pts = _as_points(self.points)
         labels = np.asarray(self.labels, dtype=np.int64)
-        if self.n_s < 0 or self.n_a < 0 or self.n_q < 0:
-            raise ValueError("block counts must be nonnegative")
-        if pts.shape[0] != self.n_s + self.n_a + self.n_q:
-            raise ValueError(
-                f"point count {pts.shape[0]} != n_s+n_a+n_q = "
-                f"{self.n_s + self.n_a + self.n_q}"
-            )
-        if labels.shape != (self.n_s,):
-            raise ValueError(f"expected {self.n_s} labels, got {labels.shape}")
+        if labels.ndim != 1:
+            raise ValueError(f"labels must be a vector, got shape {labels.shape}")
+        if not 0 <= self.n_a <= len(pts) - len(labels):
+            raise ValueError(f"n_a={self.n_a} not in [0, n - n_s] = [0, {len(pts) - len(labels)}]")
         if self.k < 1:
             raise ValueError("class count must be positive")
         if labels.size and (labels.min() < 0 or labels.max() >= self.k):
@@ -71,6 +65,14 @@ class VertexSet:
     def n(self) -> int:
         return self.points.shape[0]
 
+    @property
+    def n_s(self) -> int:
+        return self.labels.size
+
+    @property
+    def n_q(self) -> int:
+        return self.n - self.n_s - self.n_a
+
     def one_hot_labels(self) -> np.ndarray:
         """(n_s, k) one-hot rows for the labeled block."""
         out = np.zeros((self.n_s, self.k), dtype=np.float64)
@@ -80,18 +82,16 @@ class VertexSet:
 
 @dataclass
 class WeightedGraph:
-    """Symmetric nonnegative sparse weights with zero diagonal."""
+    """Symmetric nonnegative sparse weights with zero diagonal; the row
+    sums ``degrees`` are computed once, as the solver reads them often."""
 
-    n: int
     weights: sp.csr_matrix
-    degrees: np.ndarray = field(repr=False)
+    degrees: np.ndarray = field(init=False, repr=False)
 
-    @classmethod
-    def from_weights(cls, weights: sp.spmatrix) -> "WeightedGraph":
-        w = sp.csr_matrix(weights)
+    def __post_init__(self):
+        w = sp.csr_matrix(self.weights)
         w.sum_duplicates()
-        n = w.shape[0]
-        if w.shape != (n, n):
+        if w.shape[0] != w.shape[1]:
             raise ValueError("weight matrix must be square")
         if (w != w.T).nnz != 0:
             raise ValueError("weight matrix must be symmetric")
@@ -102,7 +102,12 @@ class WeightedGraph:
         degrees = np.asarray(w.sum(axis=1)).ravel()
         if np.any(degrees <= 0.0):
             raise ValueError("every vertex must have positive degree")
-        return cls(n=n, weights=w, degrees=degrees)
+        self.weights = w
+        self.degrees = degrees
+
+    @property
+    def n(self) -> int:
+        return self.weights.shape[0]
 
 
 # Screening margin. Let u = 2^-53 (eps = 2u), x~ = fl(x - mean) and
@@ -204,7 +209,7 @@ def build_weight_graph(points, k_neighbors: int) -> WeightedGraph:
     rows = np.repeat(np.arange(n), k_neighbors)
     vals = np.exp(-4.0 * sq_dists.ravel() / dk2[rows])
     raw = sp.csr_matrix((vals, (rows, neighbors.ravel())), shape=(n, n))
-    return WeightedGraph.from_weights((raw + raw.T) * 0.5)
+    return WeightedGraph((raw + raw.T) * 0.5)
 
 
 def laplacian_apply(graph: WeightedGraph, x: np.ndarray) -> np.ndarray:
@@ -237,11 +242,16 @@ def to_triplets(graph: WeightedGraph) -> np.ndarray:
     return out
 
 
-def from_triplets(triplets, n: int | None = None) -> WeightedGraph:
-    """Rebuild a graph from an (n_edges, 3) upper-triangle edge list."""
+def from_triplets(triplets) -> WeightedGraph:
+    """Rebuild a graph from an (n_edges, 3) upper-triangle edge list.
+
+    The vertex count is the largest index + 1.
+    """
     arr = np.asarray(triplets, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError(f"triplets must be (n_edges, 3), got {arr.shape}")
+    if arr.shape[0] == 0:
+        raise ValueError("triplets must hold at least one edge")
     rows = arr[:, 0]
     cols = arr[:, 1]
     vals = arr[:, 2]
@@ -253,7 +263,6 @@ def from_triplets(triplets, n: int | None = None) -> WeightedGraph:
         raise ValueError("edge indices must be nonnegative")
     if np.any(rows == cols):
         raise ValueError("self edges are not allowed")
-    if n is None:
-        n = int(max(rows.max(), cols.max())) + 1
+    n = int(max(rows.max(), cols.max())) + 1
     half = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return WeightedGraph.from_weights(half + half.T)
+    return WeightedGraph(half + half.T)

@@ -34,20 +34,26 @@ DIRECT_SOLVE_LIMIT = 2000
 class LabelSource:
     """Zero-sum source term, one column per vertex (k x n)."""
 
-    k: int
-    n: int
     n_s: int
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         vals = np.ascontiguousarray(self.values, dtype=np.float64)
-        if vals.shape != (self.k, self.n):
-            raise ValueError(f"source must be ({self.k}, {self.n}), got {vals.shape}")
-        if self.n_s < 1 or self.n_s > self.n:
-            raise ValueError(f"n_s={self.n_s} out of range for n={self.n}")
-        if self.n_s < self.n and np.any(vals[:, self.n_s :] != 0.0):
+        if vals.ndim != 2:
+            raise ValueError(f"source must be a (k, n) array, got shape {vals.shape}")
+        if not 1 <= self.n_s <= vals.shape[1]:
+            raise ValueError(f"n_s={self.n_s} out of range for n={vals.shape[1]}")
+        if np.any(vals[:, self.n_s :] != 0.0):
             raise ValueError("columns past the labeled block must be zero")
         object.__setattr__(self, "values", vals)
+
+    @property
+    def k(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -75,7 +81,7 @@ class ConfidenceMap:
         vals = np.ascontiguousarray(self.values, dtype=np.float64)
         if vals.ndim != 2:
             raise ValueError("confidence map must be rank 2 (H, W)")
-        if vals.min() < 0.0 or vals.max() > 1.0:
+        if not np.all((vals >= 0.0) & (vals <= 1.0)):  # NaN fails too
             raise ValueError("confidence values must lie in [0, 1]")
         object.__setattr__(self, "values", vals)
 
@@ -88,7 +94,7 @@ class ConfidenceMap:
         return self.values.shape[1]
 
 
-def build_source(one_hot_labels, n: int, k: int) -> LabelSource:
+def build_source(one_hot_labels, n: int) -> LabelSource:
     """Center the labeled block's one-hot labels and pad with zeros.
 
     Column i of the result is label_i minus the mean label vector for
@@ -103,15 +109,13 @@ def build_source(one_hot_labels, n: int, k: int) -> LabelSource:
     n_s = labels.shape[0]
     if n_s == 0:
         raise NoLabels("at least one labeled vertex is required")
-    if labels.shape[1] != k:
-        raise ValueError(f"labels have {labels.shape[1]} classes, expected {k}")
     if n_s > n:
         raise ValueError(f"n_s={n_s} exceeds n={n}")
     is_one_hot = np.all(np.isin(labels, (0.0, 1.0))) and np.all(labels.sum(axis=1) == 1.0)
     if not is_one_hot:
         raise ValueError("each label row must be one-hot")
     mean = labels.mean(axis=0)
-    values = np.zeros((k, n), dtype=np.float64)
+    values = np.zeros((labels.shape[1], n), dtype=np.float64)
     values[:, :n_s] = (labels - mean).T
     missing = np.flatnonzero(labels.sum(axis=0) == 0.0)
     if not np.any(values):
@@ -126,7 +130,7 @@ def build_source(one_hot_labels, n: int, k: int) -> LabelSource:
             "their propagated scores are identically zero",
             stacklevel=2,
         )
-    return LabelSource(k=k, n=n, n_s=n_s, values=values)
+    return LabelSource(n_s=n_s, values=values)
 
 
 def _check_system(graph: WeightedGraph, source: LabelSource) -> None:
@@ -235,18 +239,16 @@ def softmax_channels(values: np.ndarray) -> np.ndarray:
     return ex / ex.sum(axis=0, keepdims=True)
 
 
-def extract_confidence_map(
-    result: PropagationResult, n_q: int, height: int, width: int
-) -> ConfidenceMap:
+def extract_confidence_map(result: PropagationResult, height: int, width: int) -> ConfidenceMap:
     """Foreground confidence for the query block.
 
-    Takes the last ``n_q`` rows of the solution (the query vertices, in
-    row-major pixel order), reshapes them to a (k, H, W) stack, applies
-    a per-pixel softmax over the k channels, and returns the last
-    channel, which is foreground by the class-ordering convention.
+    Takes the last ``n_q = height * width`` rows of the solution (the
+    query vertices, in row-major pixel order), reshapes them to a
+    (k, H, W) stack, applies a per-pixel softmax over the k channels,
+    and returns the last channel, which is foreground by the
+    class-ordering convention.
     """
-    if n_q != height * width:
-        raise ShapeMismatch(f"n_q={n_q} != H*W = {height * width}")
+    n_q = height * width
     if result.scores.shape[0] < n_q:
         raise ShapeMismatch(
             f"solution has {result.scores.shape[0]} rows, need at least {n_q}"

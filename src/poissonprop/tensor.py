@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import LengthMismatch, UpsampleRequested, WindowTooLarge
+from .errors import LengthMismatch, WindowTooLarge
 
 ZERO_NORM_EPS = 1e-12
 
@@ -138,28 +138,11 @@ def cosine_similarity(u, v) -> float:
     return float(np.clip(unit[0] @ unit[1], -1.0, 1.0))
 
 
-def _overlap_weights(src: int, dst: int) -> np.ndarray:
-    """(dst, src) matrix of fractional cell overlaps; rows sum to 1."""
-    scale = src / dst
-    rows = np.arange(dst)[:, None]
-    cells = np.arange(src)
-    cover = np.minimum((rows + 1) * scale, cells + 1) - np.maximum(rows * scale, cells)
-    return np.where(cover > 0, cover, 0.0) / scale
+def downsample_mask(mask: SoftMask, window: tuple[int, int]) -> SoftMask:
+    """Mask mean over each window of the tiling ``avg_pool`` uses.
 
-
-def downsample_mask(mask: SoftMask, target: tuple[int, int]) -> SoftMask:
-    """Area-average downsampling: each output cell is the mean of its
-    source footprint, with fractional weights at footprint edges."""
-    th, tw = target
-    h, w = mask.data.shape
-    if th < 1 or tw < 1:
-        raise ValueError("target dims must be positive")
-    if th > h or tw > w:
-        raise UpsampleRequested(f"target {target} exceeds source {(h, w)}")
-    if (th, tw) == (h, w):
-        return SoftMask(mask.data.copy())
-    rows = _overlap_weights(h, th)
-    cols = _overlap_weights(w, tw)
-    out = rows @ mask.data @ cols.T
-    # convex combination of [0,1] values; clip float residue only
-    return SoftMask(np.clip(out, 0.0, 1.0))
+    The grid follows from the window as the prototypes' grid does; a
+    binary mask's cell is its window's exact foreground fraction,
+    rounded once.
+    """
+    return SoftMask(avg_pool(FeatureMap(mask.data[None]), window).data[0])

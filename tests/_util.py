@@ -33,7 +33,7 @@ def random_connected_system(seed: int, dim: int = 8):
     classes = np.concatenate([np.arange(k), rng.integers(0, k, n_s - k)])
     one_hot = np.zeros((n_s, k))
     one_hot[np.arange(n_s), classes] = 1.0
-    source = pp.build_source(one_hot, n, k)
+    source = pp.build_source(one_hot, n)
     return graph, source
 
 

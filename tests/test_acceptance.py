@@ -220,7 +220,7 @@ def test_criterion_9_degenerate_handling():
             pp.run_episode(ep)
 
     split = pp.from_triplets([[0, 1, 1.0], [2, 3, 1.0]])
-    source = pp.build_source(np.eye(2), 4, 2)
+    source = pp.build_source(np.eye(2), 4)
     with pytest.raises(DisconnectedGraph):
         pp.solve_iterative(split, source)
     with pytest.raises(DisconnectedGraph):

@@ -59,14 +59,14 @@ class TestGraphPropagate:
         rfile = tmp_path / "r.t"
         code = main([
             "propagate", "--graph", str(gfile), "--labels", str(lfile),
-            "--k-classes", "2", "--tol", "1e-8", "--tmax", "50000",
+            "--tol", "1e-8", "--tmax", "50000",
             "--out", str(rfile),
         ])
         assert code == 0
         captured = capsys.readouterr().out
         assert "iterations:" in captured and "final_step:" in captured
         expected = pp.solve_iterative(
-            graph, pp.build_source(labels, 40, 2), t_max=50000, tol=1e-8
+            graph, pp.build_source(labels, 40), t_max=50000, tol=1e-8
         )
         assert np.array_equal(load_tensor(rfile).data, expected.scores)
         assert f"residual_inf: {expected.residual_inf!r}" in captured

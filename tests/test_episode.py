@@ -88,16 +88,16 @@ class TestRunEpisode:
         sup_map, sup_mask = ep.support
 
         protos = pp.local_prototype_pool(sup_map, cfg.window)
-        grid = pp.downsample_mask(sup_mask, (4, 4))
+        grid = pp.downsample_mask(sup_mask, cfg.window)
         labels = pp.assign_prototype_labels(grid, cfg.label_threshold)
         aux = [pp.local_prototype_pool(amap, cfg.window) for amap in ep.auxiliary]
         points = np.concatenate([protos, *aux, ep.query.pixel_vectors()])
         graph = pp.build_weight_graph(points, cfg.knn_k)
         one_hot = np.zeros((len(protos), 2))
         one_hot[np.arange(len(protos)), labels] = 1.0
-        source = pp.build_source(one_hot, graph.n, 2)
+        source = pp.build_source(one_hot, graph.n)
         prop = pp.solve_iterative(graph, source, cfg.t_max, cfg.tol)
-        conf = pp.extract_confidence_map(prop, 256, 16, 16)
+        conf = pp.extract_confidence_map(prop, 16, 16)
         proto_vec = pp.masked_average_pool(sup_map, sup_mask)
         sim = pp.similarity_map(ep.query, proto_vec, cfg.sim_params)
         fused = pp.fuse_confidence(sim, conf)
@@ -152,6 +152,24 @@ class TestRunEpisode:
         assert res.fused.data.shape == (1, 16, 16)
         assert set(np.unique(res.predicted_mask)) <= {0, 1}
 
+    def test_exact_half_window_is_foreground(self):
+        # the top-left 2x6 window holds 6 of its 12 pixels: the grid value is
+        # exactly 0.5, which the inclusive label threshold makes foreground
+        rng = np.random.default_rng(70)
+        mask = np.zeros((8, 12))
+        mask[0, :6] = 1.0
+        mask[6:, 6:] = 1.0
+        sup, query = (FeatureMap(rng.standard_normal((4, 8, 12))) for _ in range(2))
+        ep = Episode(
+            support=(sup, SoftMask(mask)),
+            auxiliary=(),
+            query=query,
+            config=EpisodeConfig(window=(2, 6)),
+        )
+        res = run_episode(ep)
+        assert res.grid_mask.data[0, 0] == 0.5
+        assert res.vertex_set.labels[0] == 1
+
     @pytest.mark.xfail(
         strict=True,
         raises=AssertionError,
@@ -170,7 +188,8 @@ class TestRunEpisode:
     def test_mode_selects_mask(self):
         ep, _ = pp.synth_episode(two_blob_spec(8))
         res_p = run_episode(ep)
-        res_c = run_episode(pp.episode.with_config(ep, prediction_mode="calibrated"))
+        cfg = dataclasses.replace(ep.config, prediction_mode="calibrated")
+        res_c = run_episode(dataclasses.replace(ep, config=cfg))
         assert np.array_equal(res_p.predicted_mask, res_p.mask_poisson)
         assert np.array_equal(res_c.predicted_mask, res_c.mask_calibrated)
 
@@ -205,6 +224,6 @@ class TestDegenerateEpisodes:
 
     def test_stage_name_attached_to_errors(self):
         ep, _ = pp.synth_episode(two_blob_spec(11))
-        ep = pp.episode.with_config(ep, knn_k=10_000)
+        ep = dataclasses.replace(ep, config=dataclasses.replace(ep.config, knn_k=10_000))
         with pytest.raises(pp.errors.KTooLarge, match="graph-build"):
             run_episode(ep)

@@ -47,7 +47,7 @@ def _reference_triplets(points, k):
     cols = neighbors.ravel()
     vals = np.exp(-4.0 * d2[rows, cols] / dk2[rows])
     raw = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return to_triplets(WeightedGraph.from_weights((raw + raw.T) * 0.5))
+    return to_triplets(WeightedGraph((raw + raw.T) * 0.5))
 
 
 def _equivalence_corpus():
@@ -229,7 +229,7 @@ class TestTriplets:
     def test_round_trip(self):
         rng = np.random.default_rng(26)
         g = build_weight_graph(rng.standard_normal((30, 4)), 5)
-        back = from_triplets(to_triplets(g), n=g.n)
+        back = from_triplets(to_triplets(g))
         assert (back.weights != g.weights).nnz == 0
         assert np.array_equal(back.degrees, g.degrees)
 
@@ -249,14 +249,42 @@ class TestTriplets:
         g = from_triplets([[0, 1, 1.0], [2, 3, 0.5]])
         assert component_count(g) == 2
 
+    def test_vertex_count_is_largest_index_plus_one(self):
+        g = from_triplets([[0, 1, 1.0], [1, 2, 0.5]])
+        assert g.n == 3
+        assert np.array_equal(g.degrees, [1.0, 1.5, 0.5])
+
+    def test_empty_edge_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one edge"):
+            from_triplets(np.empty((0, 3)))
+
+
+class TestWeightedGraph:
+    def test_sizes_derived_from_weights(self):
+        w = np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        g = WeightedGraph(w)
+        assert g.n == 3
+        assert np.array_equal(g.degrees, [2.0, 3.0, 1.0])
+        with pytest.raises(TypeError):
+            WeightedGraph(w, degrees=np.ones(3))
+
+    def test_asymmetric_rejected(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            WeightedGraph(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
 
 class TestVertexSet:
     def test_block_counts_checked(self):
-        with pytest.raises(ValueError):
-            VertexSet(np.zeros((3, 2)), n_s=1, n_a=1, n_q=2, labels=np.array([0]), k=2)
+        for n_a in (-1, 3):
+            with pytest.raises(ValueError, match="n_a"):
+                VertexSet(np.zeros((3, 2)), labels=np.array([0]), n_a=n_a, k=2)
+
+    def test_block_sizes_derived(self):
+        vs = VertexSet(np.zeros((6, 2)), labels=np.array([1, 0]), n_a=3)
+        assert (vs.n, vs.n_s, vs.n_a, vs.n_q, vs.k) == (6, 2, 3, 1, 2)
+        with pytest.raises(TypeError):
+            VertexSet(np.zeros((6, 2)), labels=np.array([1, 0]), n_a=3, n_q=1)
 
     def test_one_hot(self):
-        vs = VertexSet(
-            np.zeros((4, 2)), n_s=2, n_a=1, n_q=1, labels=np.array([1, 0]), k=2
-        )
+        vs = VertexSet(np.zeros((4, 2)), labels=np.array([1, 0]), n_a=1, k=2)
         assert np.array_equal(vs.one_hot_labels(), [[0.0, 1.0], [1.0, 0.0]])

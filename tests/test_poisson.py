@@ -21,19 +21,19 @@ from poissonprop.errors import (
     ShapeMismatch,
     TooLargeForDirect,
 )
-from poissonprop.poisson import LabelSource, degree_weighted_center
+from poissonprop.poisson import ConfidenceMap, LabelSource, degree_weighted_center
 
 K2 = from_triplets([[0, 1, 1.0]])
 
 
 class TestBuildSource:
     def test_two_one_hot_labels(self):
-        src = build_source(np.eye(2), 2, 2)
+        src = build_source(np.eye(2), 2)
         assert np.array_equal(src.values, [[0.5, -0.5], [-0.5, 0.5]])
 
     def test_three_labels_uneven(self):
         labels = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        src = build_source(labels, 5, 2)
+        src = build_source(labels, 5)
         expected = np.array(
             [
                 [1 / 3, 1 / 3, -2 / 3, 0.0, 0.0],
@@ -47,46 +47,52 @@ class TestBuildSource:
         labels = np.zeros((7, 3))
         labels[np.arange(7), rng.integers(0, 3, 7)] = 1.0
         labels[:3] = np.eye(3)
-        src = build_source(labels, 20, 3)
+        src = build_source(labels, 20)
         assert np.allclose(src.values.sum(axis=1), 0.0, atol=1e-12)
         assert np.all(src.values[:, 7:] == 0.0)
 
     def test_single_label_warns_and_zeroes(self):
         with pytest.warns(UserWarning, match="single|one class"):
-            src = build_source(np.array([[1.0, 0.0]]), 4, 2)
+            src = build_source(np.array([[1.0, 0.0]]), 4)
         assert np.all(src.values == 0.0)
 
     def test_missing_class_warns(self):
         labels = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         with pytest.warns(UserWarning, match=r"classes \[2\] have no labeled vertex"):
-            src = build_source(labels, 4, 3)
+            src = build_source(labels, 4)
         assert np.all(src.values[2] == 0.0)
         assert np.any(src.values[:2])
 
     def test_no_labels(self):
         with pytest.raises(NoLabels):
-            build_source(np.zeros((0, 2)), 4, 2)
+            build_source(np.zeros((0, 2)), 4)
 
     def test_invalid_one_hot(self):
         with pytest.raises(ValueError, match="one-hot"):
-            build_source(np.array([[0.5, 0.5]]), 4, 2)
+            build_source(np.array([[0.5, 0.5]]), 4)
+
+    def test_sizes_derived_from_values(self):
+        src = build_source(np.eye(3), 5)
+        assert (src.k, src.n, src.n_s) == (3, 5, 3)
+        with pytest.raises(TypeError):
+            LabelSource(k=3, n=5, n_s=3, values=src.values)
 
     def test_trailing_columns_validated(self):
         bad = np.ones((2, 3))
         with pytest.raises(ValueError, match="zero"):
-            LabelSource(k=2, n=3, n_s=1, values=bad)
+            LabelSource(n_s=1, values=bad)
 
 
 class TestIterative:
     def test_first_step_on_two_vertices(self):
-        src = build_source(np.eye(2), 2, 2)
+        src = build_source(np.eye(2), 2)
         res = solve_iterative(K2, src, t_max=1)
         assert np.array_equal(res.scores, [[0.5, -0.5], [-0.5, 0.5]])
         assert res.iterations == 1
         assert not res.converged
 
     def test_unconverged_stop_warns(self):
-        src = build_source(np.eye(2), 2, 2)
+        src = build_source(np.eye(2), 2)
         with pytest.warns(UserWarning, match="unconverged"):
             res = solve_iterative(K2, src, t_max=1)
         assert (res.iterations, res.converged, res.final_step) == (1, False, 0.5)
@@ -94,7 +100,7 @@ class TestIterative:
 
     def test_unconverged_warning_registered_once(self):
         # per-call text would store one registry entry, and print one line, per solve
-        src = build_source(np.eye(2), 2, 2)
+        src = build_source(np.eye(2), 2)
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("default")
             for t_max in range(1, 51):
@@ -103,7 +109,7 @@ class TestIterative:
 
     def test_zero_source_fixed_point(self):
         with pytest.warns(UserWarning):
-            src = build_source(np.array([[1.0, 0.0]]), 2, 2)
+            src = build_source(np.array([[1.0, 0.0]]), 2)
         res = solve_iterative(K2, src, t_max=50)
         assert np.all(res.scores == 0.0)
         assert res.converged
@@ -111,12 +117,12 @@ class TestIterative:
 
     def test_disconnected_graph(self):
         g = from_triplets([[0, 1, 1.0], [2, 3, 1.0]])
-        src = build_source(np.eye(2), 4, 2)
+        src = build_source(np.eye(2), 4)
         with pytest.raises(DisconnectedGraph):
             solve_iterative(g, src)
 
     def test_source_size_mismatch(self):
-        src = build_source(np.eye(2), 3, 2)
+        src = build_source(np.eye(2), 3)
         with pytest.raises(DimensionMismatch):
             solve_iterative(K2, src)
 
@@ -170,8 +176,8 @@ class TestIterative:
         labels = np.zeros((4, 2))
         labels[:2, 0] = 1.0
         labels[2:, 1] = 1.0
-        src = build_source(labels, n, 2)
-        swapped = build_source(labels[:, ::-1], n, 2)
+        src = build_source(labels, n)
+        swapped = build_source(labels[:, ::-1], n)
         res = solve_iterative(graph, src, t_max=300)
         neg = solve_iterative(graph, swapped, t_max=300)
         assert np.array_equal(neg.scores, -res.scores)
@@ -184,16 +190,14 @@ class TestIterative:
         w_perm = graph.weights.toarray()[np.ix_(perm, perm)]
         from poissonprop.graph import WeightedGraph
 
-        g2 = WeightedGraph.from_weights(w_perm)
-        src2 = LabelSource(
-            k=source.k, n=n, n_s=n_s, values=source.values[:, perm]
-        )
+        g2 = WeightedGraph(w_perm)
+        src2 = LabelSource(n_s=n_s, values=source.values[:, perm])
         base = solve_iterative(graph, source, t_max=200)
         permuted = solve_iterative(g2, src2, t_max=200)
         assert np.allclose(permuted.scores, base.scores[perm], atol=1e-12)
 
     def test_parameter_validation(self):
-        src = build_source(np.eye(2), 2, 2)
+        src = build_source(np.eye(2), 2)
         with pytest.raises(ValueError):
             solve_iterative(K2, src, t_max=0)
         with pytest.raises(ValueError):
@@ -203,12 +207,12 @@ class TestIterative:
     def test_non_finite_tol_rejected(self, tol):
         # inf once stopped after one step as "converged"; nan never stopped
         with pytest.raises(ValueError, match="tol must be positive and finite"):
-            solve_iterative(K2, build_source(np.eye(2), 2, 2), tol=tol)
+            solve_iterative(K2, build_source(np.eye(2), 2), tol=tol)
 
 
 class TestDirect:
     def test_two_vertex_value(self):
-        src = build_source(np.eye(2), 2, 2)
+        src = build_source(np.eye(2), 2)
         res = solve_direct(K2, src)
         assert np.allclose(res.scores, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-12)
 
@@ -226,7 +230,7 @@ class TestDirect:
 
     def test_zero_source_returns_zero(self):
         with pytest.warns(UserWarning):
-            src = build_source(np.array([[1.0, 0.0]]), 2, 2)
+            src = build_source(np.array([[1.0, 0.0]]), 2)
         res = solve_direct(K2, src)
         assert np.allclose(res.scores, 0.0, atol=1e-15)
 
@@ -234,13 +238,13 @@ class TestDirect:
         n = 2001
         edges = [[i, i + 1, 1.0] for i in range(n - 1)]
         g = from_triplets(edges)
-        src = build_source(np.eye(2), n, 2)
+        src = build_source(np.eye(2), n)
         with pytest.raises(TooLargeForDirect):
             solve_direct(g, src)
 
     def test_disconnected_graph(self):
         g = from_triplets([[0, 1, 1.0], [2, 3, 1.0]])
-        src = build_source(np.eye(2), 4, 2)
+        src = build_source(np.eye(2), 4)
         with pytest.raises(DisconnectedGraph):
             solve_direct(g, src)
 
@@ -257,45 +261,52 @@ def _result(scores):
 
 class TestConfidenceMap:
     def test_zero_scores_give_half(self):
-        conf = extract_confidence_map(_result(np.zeros((4, 2))), 4, 2, 2)
+        conf = extract_confidence_map(_result(np.zeros((4, 2))), 2, 2)
         assert np.array_equal(conf.values, np.full((2, 2), 0.5))
 
     def test_strong_logit(self):
         scores = np.zeros((4, 2))
         scores[0] = [0.0, 10.0]
-        conf = extract_confidence_map(_result(scores), 4, 2, 2)
+        conf = extract_confidence_map(_result(scores), 2, 2)
         assert conf.values[0, 0] == pytest.approx(1.0 / (1.0 + np.exp(-10.0)), abs=1e-12)
 
     def test_channel_swap_complements(self):
         rng = np.random.default_rng(31)
         scores = rng.standard_normal((6, 2))
-        conf = extract_confidence_map(_result(scores), 6, 2, 3)
-        flipped = extract_confidence_map(_result(scores[:, ::-1]), 6, 2, 3)
+        conf = extract_confidence_map(_result(scores), 2, 3)
+        flipped = extract_confidence_map(_result(scores[:, ::-1]), 2, 3)
         assert np.allclose(flipped.values, 1.0 - conf.values, atol=1e-12)
 
     def test_rows_map_row_major(self):
         scores = np.zeros((4, 2))
         scores[1] = [-5.0, 5.0]  # pixel (0, 1)
-        conf = extract_confidence_map(_result(scores), 4, 2, 2)
+        conf = extract_confidence_map(_result(scores), 2, 2)
         assert conf.values[0, 1] > 0.99
         assert conf.values[0, 0] == 0.5
 
     def test_query_block_is_tail(self):
         scores = np.zeros((6, 2))
         scores[:2, 0] = 100.0  # non-query vertices must be ignored
-        conf = extract_confidence_map(_result(scores), 4, 2, 2)
+        conf = extract_confidence_map(_result(scores), 2, 2)
         assert np.array_equal(conf.values, np.full((2, 2), 0.5))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            extract_confidence_map(_result(np.zeros((4, 2))), 4, 2, 3)
+            extract_confidence_map(_result(np.zeros((4, 2))), 2, 3)
         with pytest.raises(ShapeMismatch):
-            extract_confidence_map(_result(np.zeros((3, 2))), 4, 2, 2)
+            extract_confidence_map(_result(np.zeros((3, 2))), 2, 2)
+
+    def test_nan_rejected(self):
+        # an infinite score makes a NaN softmax; it must not become background
+        with pytest.raises(ValueError, match=r"\[0, 1\]"), np.errstate(invalid="ignore"):
+            extract_confidence_map(_result([[0.0, np.inf], [0.0, 1.0]]), 1, 2)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            ConfidenceMap(np.array([[np.nan, 0.5]]))
 
     def test_three_class_softmax_normalized(self):
         rng = np.random.default_rng(32)
         scores = rng.standard_normal((8, 3))
-        conf = extract_confidence_map(_result(scores), 8, 2, 4)
+        conf = extract_confidence_map(_result(scores), 2, 4)
         from poissonprop.poisson import softmax_channels
 
         stack = softmax_channels(scores.T.reshape(3, 2, 4))

@@ -60,15 +60,16 @@ def test_cosine_bounded_and_symmetric(u, v):
 @given(arrays(np.float64, (6, 8), elements=unit))
 @settings(max_examples=50)
 def test_downsample_preserves_mean_on_even_grids(mask):
-    out = downsample_mask(SoftMask(mask), (3, 4))
+    out = downsample_mask(SoftMask(mask), (2, 2))
     assert abs(out.data.mean() - mask.mean()) < 1e-12
 
 
-@given(arrays(np.float64, (5, 7), elements=unit), st.integers(1, 5), st.integers(1, 7))
+@given(st.integers(1, 5), st.integers(1, 7), st.integers(1, 3), st.integers(1, 3), st.data())
 @settings(max_examples=50)
-def test_downsample_range(mask, th, tw):
-    out = downsample_mask(SoftMask(mask), (th, tw))
-    assert out.data.shape == (th, tw)
+def test_downsample_range(wh, ww, gh, gw, data):
+    mask = data.draw(arrays(np.float64, (wh * gh, ww * gw), elements=unit))
+    out = downsample_mask(SoftMask(mask), (wh, ww))
+    assert out.data.shape == (gh, gw)
     assert out.data.min() >= 0.0 and out.data.max() <= 1.0
 
 
