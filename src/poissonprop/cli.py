@@ -4,8 +4,6 @@ Subcommands: graph, propagate, episode, dice, synth. Any library error
 exits nonzero after printing one machine-parsable line to stderr:
 
     error: <ErrorClass>: <message>
-
-Environment: POISSONPROP_SEED overrides the seed of a synth spec.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -96,14 +93,7 @@ def _cmd_dice(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    seed_override = None
-    raw_seed = os.environ.get("POISSONPROP_SEED")
-    if raw_seed is not None:
-        try:
-            seed_override = int(raw_seed)
-        except ValueError:
-            raise ValueError(f"POISSONPROP_SEED must be an integer, got {raw_seed!r}") from None
-    spec = load_synth_spec(args.spec, seed_override=seed_override)
+    spec = load_synth_spec(args.spec)
     ep, truth = synth_episode(spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

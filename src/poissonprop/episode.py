@@ -33,8 +33,6 @@ class EpisodeConfig:
     knn_k: int = 10
     tol: float = 1e-6
     t_max: int = 1000
-    label_threshold: float = 0.5
-    prediction_threshold: float = 0.5
     prediction_mode: str = "poisson"
     sim_params: LinearParams | None = None
     calibration_params: TwoLayerParams | None = None
@@ -45,8 +43,6 @@ class EpisodeConfig:
                 f"prediction_mode must be one of {PREDICTION_MODES}, "
                 f"got {self.prediction_mode!r}"
             )
-        if not 0.0 < self.prediction_threshold < 1.0:
-            raise ValueError("prediction_threshold must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -82,7 +78,7 @@ class Episode:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EpisodeResult:
     """All pipeline outputs and intermediates for one episode."""
 
@@ -117,16 +113,15 @@ class EpisodeResult:
         return self.dsc_calibrated
 
 
-def predict_mask(values, threshold: float = 0.5) -> np.ndarray:
-    """Binary foreground mask of one (H, W) score map.
+def predict_mask(values) -> np.ndarray:
+    """Binary foreground mask of one (H, W) score map: a value >= 0.5 is
+    foreground, the two-class argmax with ties going to foreground.
 
-    The threshold is inclusive (values equal to it are foreground).
-    ``run_episode`` passes the confidence map for "poisson" mode and the
-    channel mean of the calibrated map for "calibrated" mode.
+    ``run_episode`` passes the confidence map for "poisson" mode, the
+    channel mean of the calibrated map for "calibrated" mode, and the
+    query mask for the truth it scores against.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must be in (0, 1)")
-    return (np.asarray(values) >= threshold).astype(np.uint8)
+    return (np.asarray(values) >= 0.5).astype(np.uint8)
 
 
 def _stage(name: str, fn, *args, **kwargs):
@@ -145,12 +140,7 @@ def run_episode(ep: Episode) -> EpisodeResult:
         "support-pooling", prototype.local_prototype_pool, sup_map, cfg.window
     )
     grid_mask = _stage("mask-downsampling", downsample_mask, sup_mask, cfg.window)
-    labels = _stage(
-        "prototype-labeling",
-        prototype.assign_prototype_labels,
-        grid_mask,
-        cfg.label_threshold,
-    )
+    labels = _stage("prototype-labeling", prototype.assign_prototype_labels, grid_mask)
     aux_pools = [
         _stage("auxiliary-pooling", prototype.local_prototype_pool, aux, cfg.window)
         for aux in ep.auxiliary
@@ -160,7 +150,6 @@ def run_episode(ep: Episode) -> EpisodeResult:
         points=np.concatenate([sup_protos, aux_protos, ep.query.pixel_vectors()]),
         labels=labels,
         n_a=len(aux_protos),
-        k=2,
     )
 
     graph = _stage("graph-build", build_weight_graph, vertices.points, cfg.knn_k)
@@ -191,14 +180,12 @@ def run_episode(ep: Episode) -> EpisodeResult:
         "calibration", scc.spatial_consistency_calibrate, fused, cfg.calibration_params
     )
 
-    mask_poisson = predict_mask(confidence.values, cfg.prediction_threshold)
-    mask_calibrated = predict_mask(
-        calibrated.data.mean(axis=0), cfg.prediction_threshold
-    )
+    mask_poisson = predict_mask(confidence.values)
+    mask_calibrated = predict_mask(calibrated.data.mean(axis=0))
 
     dsc_poisson = dsc_calibrated = None
     if ep.query_mask is not None:
-        truth = (ep.query_mask.data >= 0.5).astype(np.uint8)
+        truth = predict_mask(ep.query_mask.data)
         dsc_poisson = dsc(mask_poisson, truth)
         dsc_calibrated = dsc(mask_calibrated, truth)
 

@@ -31,21 +31,20 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VertexSet:
     """Vertices for propagation: support block, then auxiliary, then query.
 
-    The first ``n_s = len(labels)`` vertices carry class labels in
-    {0..k-1}; class k-1 is foreground by convention. A class may lack
-    labeled vertices (``poisson.build_source`` warns about it), so the
-    degenerate single-class case still flows through to an all-zero
-    propagation.
+    The first ``n_s = len(labels)`` vertices carry class labels 0
+    (background) or 1 (foreground). A class may lack labeled vertices
+    (``poisson.build_source`` warns about it), so the degenerate
+    single-class case still flows through to an all-zero propagation.
     """
 
     points: np.ndarray = field(repr=False)
     labels: np.ndarray = field(repr=False)
     n_a: int
-    k: int = 2
+    k = 2  # background, foreground
 
     def __post_init__(self):
         pts = _as_points(self.points)
@@ -54,8 +53,6 @@ class VertexSet:
             raise ValueError(f"labels must be a vector, got shape {labels.shape}")
         if not 0 <= self.n_a <= len(pts) - len(labels):
             raise ValueError(f"n_a={self.n_a} not in [0, n - n_s] = [0, {len(pts) - len(labels)}]")
-        if self.k < 1:
-            raise ValueError("class count must be positive")
         if labels.size and (labels.min() < 0 or labels.max() >= self.k):
             raise ValueError(f"labels must lie in [0, {self.k})")
         object.__setattr__(self, "points", pts)
@@ -80,7 +77,7 @@ class VertexSet:
         return out
 
 
-@dataclass
+@dataclass(eq=False)
 class WeightedGraph:
     """Symmetric nonnegative sparse weights with zero diagonal; the row
     sums ``degrees`` are computed once, as the solver reads them often."""

@@ -8,13 +8,12 @@ Episode manifest keys (paths are resolved relative to the manifest):
     query_features      tensor file, rank 3
     query_mask          tensor file, rank 2 (optional, enables scoring)
     config              object of overrides (optional), keys:
-        window [h, w], knn_k, tol, t_max, label_threshold,
-        prediction_threshold, prediction_mode ("poisson"|"calibrated"),
+        window [h, w], knn_k, tol, t_max, prediction_mode ("poisson"|"calibrated"),
         sim_weight, sim_bias           tensor files for the similarity map
         h_w1, h_b1, h_w2, h_b2         tensor files for the calibration MLP
 
 Config values are checked for type on load: integers (not booleans)
-for knn_k and t_max, numbers for tol and the thresholds, strings for
+for knn_k and t_max, a number for tol, strings for prediction_mode and
 files. Synth spec keys are the fields of SynthSpec; those without a
 default are required.
 """
@@ -187,8 +186,8 @@ def load_episode_manifest(path) -> Episode:
         raise ManifestError(f"{path}: {err}") from err
 
 
-def load_synth_spec(path, seed_override: int | None = None) -> SynthSpec:
-    """Load a synth spec document, optionally overriding its seed."""
+def load_synth_spec(path) -> SynthSpec:
+    """Load a synth spec document."""
     doc = _read_json(path)
     spec_fields = fields(SynthSpec)
     for f in spec_fields:
@@ -206,8 +205,6 @@ def load_synth_spec(path, seed_override: int | None = None) -> SynthSpec:
     doc["center"] = tuple(_typed("center", v, float) for v in center)
     if isinstance(doc["size"], list):
         doc["size"] = tuple(doc["size"])
-    if seed_override is not None:
-        doc["seed"] = seed_override
     try:
         return SynthSpec(**doc)
     except (TypeError, ValueError) as err:

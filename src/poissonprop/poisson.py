@@ -30,7 +30,7 @@ from .graph import WeightedGraph, component_count, laplacian_apply
 DIRECT_SOLVE_LIMIT = 2000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelSource:
     """Zero-sum source term, one column per vertex (k x n)."""
 
@@ -56,7 +56,7 @@ class LabelSource:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PropagationResult:
     """Solution matrix (n x k) with iteration diagnostics.
 
@@ -71,7 +71,7 @@ class PropagationResult:
     residual_inf: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfidenceMap:
     """Per-pixel foreground probability in [0, 1]."""
 

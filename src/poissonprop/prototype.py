@@ -22,16 +22,14 @@ def local_prototype_pool(fmap: FeatureMap, window: tuple[int, int]) -> np.ndarra
     return avg_pool(fmap, window).pixel_vectors()
 
 
-def assign_prototype_labels(grid_mask: SoftMask, threshold: float = 0.5) -> np.ndarray:
+def assign_prototype_labels(grid_mask: SoftMask) -> np.ndarray:
     """Class index of every grid cell, row-major: 1 (foreground) iff the
-    mask cell is >= threshold, else 0.
+    mask cell is >= 0.5 (its window's majority, ties foreground), else 0.
 
     The mask must already be at pooled-grid resolution (one cell per
     prototype). Only support prototypes are labeled this way.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"label threshold must be in (0, 1), got {threshold}")
-    return (grid_mask.data >= threshold).astype(np.int64).ravel()
+    return (grid_mask.data >= 0.5).astype(np.int64).ravel()
 
 
 def masked_average_pool(fmap: FeatureMap, mask: SoftMask) -> np.ndarray:

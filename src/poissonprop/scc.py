@@ -20,7 +20,7 @@ from .tensor import FeatureMap, _as_float64, _unit_rows
 _BLOCK_ROWS = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearParams:
     """Per-pixel affine map: weight (C_out, C_in) and bias (C_out,)."""
 

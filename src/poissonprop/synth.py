@@ -24,7 +24,7 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SynthSpec:
     """Generator parameters; identical spec -> identical episode."""
 

@@ -18,30 +18,30 @@ ZERO_NORM_EPS = 1e-12
 
 
 def _as_float64(values, name: str) -> np.ndarray:
+    """``values`` as a finite, non-empty, contiguous float64 array."""
     arr = np.ascontiguousarray(values, dtype=np.float64)
+    if arr.size == 0:
+        raise ValueError(f"{name} dims must be positive, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains NaN or Inf")
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tensor:
     """N-dimensional row-major array of finite float64 values."""
 
     data: np.ndarray
 
     def __post_init__(self):
-        arr = _as_float64(self.data, "tensor data")
-        if any(d <= 0 for d in arr.shape):
-            raise ValueError(f"tensor dims must be positive, got {arr.shape}")
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _as_float64(self.data, "tensor data"))
 
     @property
     def dims(self) -> tuple[int, ...]:
         return self.data.shape
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureMap:
     """A C x H x W grid of feature vectors."""
 
@@ -71,7 +71,7 @@ class FeatureMap:
         return self.data.reshape(c, h * w).T.copy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SoftMask:
     """An H x W grid of weights in [0, 1]."""
 
@@ -81,7 +81,7 @@ class SoftMask:
         arr = _as_float64(self.data, "mask")
         if arr.ndim != 2:
             raise ValueError(f"mask must be rank 2 (H,W), got rank {arr.ndim}")
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+        if arr.min() < 0.0 or arr.max() > 1.0:
             raise ValueError("mask values must lie in [0, 1]")
         object.__setattr__(self, "data", arr)
 

@@ -158,18 +158,6 @@ class TestSynthAndEpisode:
         for f in sorted(d1.iterdir()):
             assert f.read_bytes() == (d2 / f.name).read_bytes()
 
-    def test_seed_env_override(self, tmp_path, monkeypatch):
-        spec = write_spec(tmp_path)
-        d1 = tmp_path / "a"
-        d2 = tmp_path / "b"
-        monkeypatch.setenv("POISSONPROP_SEED", "123")
-        main(["synth", "--spec", str(spec), "--out-dir", str(d1)])
-        monkeypatch.delenv("POISSONPROP_SEED")
-        main(["synth", "--spec", str(spec), "--out-dir", str(d2)])
-        echo = json.loads((d1 / "spec.json").read_text())
-        assert echo["seed"] == 123
-        assert (d1 / "query_features.t").read_bytes() != (d2 / "query_features.t").read_bytes()
-
     def test_episode_matches_api(self, tmp_path):
         spec_doc = write_spec(tmp_path, seed=4)
         synth_dir = tmp_path / "ep"
@@ -261,11 +249,6 @@ class TestSynthSpec:
         assert err.startswith("error: ManifestError: ") and f"size: a {shape} needs" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    def test_seed_override(self, tmp_path):
-        path = write_spec(tmp_path, seed=3)
-        assert load_synth_spec(path).seed == 3
-        assert load_synth_spec(path, seed_override=99).seed == 99
-
 
 class TestManifestErrors:
     @pytest.mark.parametrize(
@@ -275,7 +258,7 @@ class TestManifestErrors:
             ("episode", "knn_k", {"knn_k": True}),
             ("episode", "t_max", {"t_max": 10.0}),
             ("episode", "tol", {"tol": "1e-6"}),
-            ("episode", "label_threshold", {"label_threshold": None}),
+            ("episode", "prediction_mode", {"prediction_mode": 1}),
             ("episode", "sim_weight", {"sim_weight": 5}),
             ("episode", "h_w1", {"h_w1": ["w.t"], "h_w2": "w2.t"}),
             ("synth", "seed", {"seed": "x"}),
@@ -305,7 +288,7 @@ class TestManifestErrors:
         "config, stage",
         [
             ({"window": [3, 3]}, "support-pooling"),
-            ({"label_threshold": 1.0}, "prototype-labeling"),
+            ({"t_max": 0}, "propagation"),
             ({"knn_k": 0}, "graph-build"),
             ({"tol": float("inf")}, "propagation"),
         ],
@@ -347,6 +330,19 @@ class TestManifestErrors:
         code = main(["episode", "--manifest", str(man), "--out-dir", str(tmp_path / "o")])
         assert code == 1
         assert "windows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["label_threshold", "prediction_threshold"])
+    def test_threshold_keys_unknown(self, tmp_path, capsys, key):
+        # >= 0.5 is foreground by construction; there is no threshold knob
+        man = tmp_path / "m.json"
+        man.write_text(json.dumps({
+            "support_features": "s.t",
+            "support_mask": "m.t",
+            "query_features": "q.t",
+            "config": {key: 0.5},
+        }))
+        assert main(["episode", "--manifest", str(man), "--out-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: ManifestError: {key}: unknown config key\n"
 
     def test_bad_json_reported(self, tmp_path, capsys):
         man = tmp_path / "m.json"

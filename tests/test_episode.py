@@ -12,28 +12,18 @@ from poissonprop.tensor import FeatureMap, SoftMask
 
 class TestPredictMask:
     def test_boundary_is_foreground(self):
-        mask = predict_mask(np.full((2, 2), 0.5), 0.5)
+        mask = predict_mask(np.full((2, 2), 0.5))
         assert np.array_equal(mask, np.ones((2, 2), dtype=np.uint8))
 
     def test_zero_confidence_all_background(self):
-        assert np.all(predict_mask(np.zeros((2, 2)), 0.5) == 0)
-
-    def test_raising_threshold_monotone(self):
-        rng = np.random.default_rng(60)
-        for values in (rng.uniform(0, 1, (4, 4)), rng.standard_normal((4, 4))):
-            prev = predict_mask(values, 0.1)
-            for theta in (0.3, 0.5, 0.7, 0.9):
-                cur = predict_mask(values, theta)
-                assert np.all(cur <= prev)
-                prev = cur
+        assert np.all(predict_mask(np.zeros((2, 2))) == 0)
 
     def test_calibrated_mode_uses_channel_mean(self):
         ep, _ = pp.synth_episode(two_blob_spec(3))
         res = run_episode(ep)
-        theta = res.config.prediction_threshold
-        calibrated = (res.calibrated.data.mean(axis=0) >= theta).astype(np.uint8)
+        calibrated = (res.calibrated.data.mean(axis=0) >= 0.5).astype(np.uint8)
         assert np.array_equal(res.mask_calibrated, calibrated)
-        assert np.array_equal(res.mask_poisson, (res.confidence.values >= theta).astype(np.uint8))
+        assert np.array_equal(res.mask_poisson, (res.confidence.values >= 0.5).astype(np.uint8))
 
 
 class TestEpisodeValidation:
@@ -58,8 +48,6 @@ class TestEpisodeValidation:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EpisodeConfig(prediction_mode="argmax")
-        with pytest.raises(ValueError):
-            EpisodeConfig(prediction_threshold=1.0)
 
 
 class TestRunEpisode:
@@ -89,7 +77,7 @@ class TestRunEpisode:
 
         protos = pp.local_prototype_pool(sup_map, cfg.window)
         grid = pp.downsample_mask(sup_mask, cfg.window)
-        labels = pp.assign_prototype_labels(grid, cfg.label_threshold)
+        labels = pp.assign_prototype_labels(grid)
         aux = [pp.local_prototype_pool(amap, cfg.window) for amap in ep.auxiliary]
         points = np.concatenate([protos, *aux, ep.query.pixel_vectors()])
         graph = pp.build_weight_graph(points, cfg.knn_k)
@@ -134,7 +122,7 @@ class TestRunEpisode:
         ep, truth = pp.synth_episode(aligned_rect_spec(0))
         ep = dataclasses.replace(ep, query=ep.support[0], query_mask=truth)
         res = run_episode(ep)
-        grid = res.grid_mask.data >= ep.config.label_threshold
+        grid = res.grid_mask.data >= 0.5
         footprint = np.kron(grid, np.ones((4, 4), dtype=bool))
         region = res.confidence.values >= 0.5
         iou = (region & footprint).sum() / (region | footprint).sum()

@@ -277,7 +277,7 @@ class TestVertexSet:
     def test_block_counts_checked(self):
         for n_a in (-1, 3):
             with pytest.raises(ValueError, match="n_a"):
-                VertexSet(np.zeros((3, 2)), labels=np.array([0]), n_a=n_a, k=2)
+                VertexSet(np.zeros((3, 2)), labels=np.array([0]), n_a=n_a)
 
     def test_block_sizes_derived(self):
         vs = VertexSet(np.zeros((6, 2)), labels=np.array([1, 0]), n_a=3)
@@ -285,6 +285,12 @@ class TestVertexSet:
         with pytest.raises(TypeError):
             VertexSet(np.zeros((6, 2)), labels=np.array([1, 0]), n_a=3, n_q=1)
 
+    def test_class_count_is_fixed(self):
+        with pytest.raises(TypeError):
+            VertexSet(np.zeros((6, 2)), labels=np.array([2, 0]), n_a=3, k=3)
+        with pytest.raises(ValueError, match="labels must lie in"):
+            VertexSet(np.zeros((6, 2)), labels=np.array([2, 0]), n_a=3)
+
     def test_one_hot(self):
-        vs = VertexSet(np.zeros((4, 2)), labels=np.array([1, 0]), n_a=1, k=2)
+        vs = VertexSet(np.zeros((4, 2)), labels=np.array([1, 0]), n_a=1)
         assert np.array_equal(vs.one_hot_labels(), [[0.0, 1.0], [1.0, 0.0]])

@@ -46,31 +46,26 @@ class TestLocalPool:
 
 class TestLabeling:
     def test_all_ones_all_foreground(self):
-        labels = assign_prototype_labels(SoftMask(np.ones((2, 2))), 0.5)
+        labels = assign_prototype_labels(SoftMask(np.ones((2, 2))))
         assert labels.dtype == np.int64
         assert np.array_equal(labels, [1, 1, 1, 1])
 
     def test_all_zeros_all_background(self):
-        labels = assign_prototype_labels(SoftMask(np.zeros((2, 2))), 0.5)
+        labels = assign_prototype_labels(SoftMask(np.zeros((2, 2))))
         assert np.array_equal(labels, [0, 0, 0, 0])
 
     def test_row_major_order(self):
         grid = np.array([[0.9, 0.1, 0.2], [0.0, 0.7, 0.6]])
-        labels = assign_prototype_labels(SoftMask(grid), 0.5)
+        labels = assign_prototype_labels(SoftMask(grid))
         assert np.array_equal(labels, [1, 0, 0, 0, 1, 1])
 
     def test_threshold_is_inclusive(self):
-        labels = assign_prototype_labels(SoftMask(np.array([[0.5]])), 0.5)
+        labels = assign_prototype_labels(SoftMask(np.array([[0.5]])))
         assert np.array_equal(labels, [1])
-
-    def test_threshold_range_checked(self):
-        for bad in (0.0, 1.0, -0.5):
-            with pytest.raises(ValueError):
-                assign_prototype_labels(SoftMask(np.ones((2, 2))), bad)
 
     def test_originals_untouched(self):
         grid = SoftMask(np.array([[0.2, 0.8], [0.5, 0.0]]))
-        labels = assign_prototype_labels(grid, 0.5)
+        labels = assign_prototype_labels(grid)
         labels[:] = 7
         assert np.array_equal(grid.data, [[0.2, 0.8], [0.5, 0.0]])
 

@@ -42,6 +42,14 @@ class TestContainers:
         with pytest.raises(ValueError):
             SoftMask(np.array([[-0.1, 0.0]]))
 
+    def test_zero_size_rejected(self):
+        # a (0, H, W) map made every vertex the same empty point and the
+        # episode an all-foreground mask; an empty mask is as meaningless
+        with pytest.raises(ValueError, match="dims must be positive"):
+            FeatureMap(np.zeros((0, 8, 8)))
+        with pytest.raises(ValueError, match="dims must be positive"):
+            SoftMask(np.zeros((0, 4)))
+
     def test_data_widened_to_float64(self):
         fmap = FeatureMap(np.zeros((1, 2, 2), dtype=np.float32))
         assert fmap.data.dtype == np.float64
