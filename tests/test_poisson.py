@@ -1,18 +1,25 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from _util import random_connected_system
+from _util import UNIT8, random_connected_system
 from poissonprop import (
     PropagationResult,
+    SynthSpec,
     build_source,
     build_weight_graph,
     extract_confidence_map,
     from_triplets,
     laplacian_apply,
+    run_episode,
     solve_direct,
     solve_iterative,
+    synth_episode,
 )
 from poissonprop.errors import (
     DimensionMismatch,
@@ -87,24 +94,31 @@ class TestIterative:
     def test_first_step_on_two_vertices(self):
         src = build_source(np.eye(2), 2)
         res = solve_iterative(K2, src, t_max=1)
-        assert np.array_equal(res.scores, [[0.5, -0.5], [-0.5, 0.5]])
-        assert res.iterations == 1
-        assert not res.converged
+        assert np.array_equal(res.scores, [[0.25, -0.25], [-0.25, 0.25]])
+        assert np.allclose(res.scores, solve_direct(K2, src).scores, atol=1e-12)
+        assert (res.iterations, res.converged, res.residual_inf) == (1, True, 0.0)
 
     def test_unconverged_stop_warns(self):
-        src = build_source(np.eye(2), 2)
+        # seed 0 needs 28 iterations at the default tol
+        graph, source = random_connected_system(0)
+        iterates = []
         with pytest.warns(UserWarning, match="unconverged"):
-            res = solve_iterative(K2, src, t_max=1)
-        assert (res.iterations, res.converged, res.final_step) == (1, False, 0.5)
-        assert res.residual_inf == np.abs(src.values.T - laplacian_apply(K2, res.scores)).max()
+            res = solve_iterative(
+                graph, source, t_max=5, on_iterate=lambda t, s: iterates.append(s.copy())
+            )
+        assert (res.iterations, res.converged) == (5, False)
+        assert res.final_step == pytest.approx(np.abs(iterates[-1] - iterates[-2]).max())
+        residual = source.values.T - laplacian_apply(graph, res.scores)
+        assert res.residual_inf == np.abs(residual).max()
+        assert res.residual_inf > 1e-6 * np.abs(source.values).max()
 
     def test_unconverged_warning_registered_once(self):
         # per-call text would store one registry entry, and print one line, per solve
-        src = build_source(np.eye(2), 2)
+        graph, source = random_connected_system(0)
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("default")
-            for t_max in range(1, 51):
-                assert not solve_iterative(K2, src, t_max=t_max).converged
+            for t_max in range(1, 21):
+                assert not solve_iterative(graph, source, t_max=t_max).converged
         assert len(record) == 1
 
     def test_zero_source_fixed_point(self):
@@ -113,7 +127,67 @@ class TestIterative:
         res = solve_iterative(K2, src, t_max=50)
         assert np.all(res.scores == 0.0)
         assert res.converged
-        assert res.iterations == 1
+        assert res.iterations == 0
+
+    def test_unlabeled_class_column_stays_zero(self):
+        graph, _ = random_connected_system(1)
+        labels = np.zeros((6, 3))
+        labels[:3, 0] = 1.0
+        labels[3:, 1] = 1.0
+        with pytest.warns(UserWarning, match=r"classes \[2\]"):
+            src = build_source(labels, graph.n)
+        with np.errstate(all="raise"):
+            res = solve_iterative(graph, src, tol=1e-8)
+        assert res.converged
+        assert np.all(res.scores[:, 2] == 0.0)
+        direct = solve_direct(graph, src)
+        assert np.abs(res.scores[:, :2] - direct.scores[:, :2]).max() < 1e-6
+
+    def test_scores_independent_of_blas_threads(self):
+        script = (
+            "import sys; from _util import random_connected_system; "
+            "import poissonprop as pp; "
+            "res = pp.solve_iterative(*random_connected_system(2)); "
+            "sys.stdout.write(res.scores.tobytes().hex())"
+        )
+        root = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(root.parent / "src"), str(root)])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] and outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_calibrated_head_geometry_converges(self, seed):
+        # default config on calibrated-head's 32x32 geometry (n = 1152): the
+        # Jacobi fixed point stopped at t_max there, 5e-2 off in confidence
+        side = 32
+        spec = SynthSpec(
+            channels=8,
+            height=side,
+            width=side,
+            fg_mean=0.6 * 6.0 * UNIT8,
+            bg_mean=-0.4 * 6.0 * UNIT8,
+            noise_scale=1.0,
+            shape="disk",
+            center=(0.484 * side, 0.528 * side),
+            size=0.4375 * side,
+            seed=seed,
+            n_auxiliary=1,
+        )
+        episode, _ = synth_episode(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            result = run_episode(episode)
+        prop = result.propagation
+        assert result.graph.n == 1152
+        assert prop.converged and prop.iterations <= 100
+        exact = extract_confidence_map(solve_direct(result.graph, result.source), side, side)
+        assert np.abs(result.confidence.values - exact.values).max() < 1e-5
 
     def test_disconnected_graph(self):
         g = from_triplets([[0, 1, 1.0], [2, 3, 1.0]])
