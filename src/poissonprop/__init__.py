@@ -13,7 +13,6 @@ from .graph import (
     WeightedGraph,
     build_weight_graph,
     from_triplets,
-    knn_distances,
     laplacian_apply,
     to_triplets,
 )
@@ -24,7 +23,6 @@ from .poisson import (
     PropagationResult,
     build_source,
     extract_confidence_map,
-    solve_direct,
     solve_iterative,
 )
 from .prototype import assign_prototype_labels, local_prototype_pool, masked_average_pool
@@ -35,8 +33,8 @@ from .scc import (
     similarity_map,
     spatial_consistency_calibrate,
 )
-from .synth import SynthSpec, geometry_mask, synth_episode
-from .tensor import FeatureMap, SoftMask, Tensor, avg_pool, cosine_similarity, downsample_mask
+from .synth import SynthSpec, synth_episode
+from .tensor import FeatureMap, SoftMask, Tensor, avg_pool, downsample_mask
 from .tensorfile import load_tensor, save_tensor
 
 __version__ = "0.1.0"
@@ -51,7 +49,6 @@ __all__ = [
     "WeightedGraph",
     "build_weight_graph",
     "from_triplets",
-    "knn_distances",
     "laplacian_apply",
     "to_triplets",
     "dice_loss",
@@ -61,7 +58,6 @@ __all__ = [
     "PropagationResult",
     "build_source",
     "extract_confidence_map",
-    "solve_direct",
     "solve_iterative",
     "assign_prototype_labels",
     "local_prototype_pool",
@@ -72,13 +68,11 @@ __all__ = [
     "similarity_map",
     "spatial_consistency_calibrate",
     "SynthSpec",
-    "geometry_mask",
     "synth_episode",
     "FeatureMap",
     "SoftMask",
     "Tensor",
     "avg_pool",
-    "cosine_similarity",
     "downsample_mask",
     "load_tensor",
     "save_tensor",

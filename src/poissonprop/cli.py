@@ -18,7 +18,7 @@ import numpy as np
 
 from . import graph as graph_mod
 from . import poisson
-from .episode import run_episode
+from .episode import EpisodeConfig, run_episode
 from .errors import PoissonPropError
 from .manifest import load_episode_manifest, load_synth_spec
 from .metrics import dsc
@@ -136,15 +136,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="build and serialize a kNN weight graph")
     p.add_argument("--features", required=True, help="rank-2 (n, C) tensor file")
-    p.add_argument("--k", type=int, default=10, help="neighbors per vertex")
+    p.add_argument("--k", type=int, default=EpisodeConfig.knn_k, help="neighbors per vertex")
     p.add_argument("--out", required=True, help="output edge-triplet tensor file")
     p.set_defaults(handler=_cmd_graph)
 
     p = sub.add_parser("propagate", help="solve the graph Poisson system")
     p.add_argument("--graph", required=True, help="edge-triplet tensor file")
     p.add_argument("--labels", required=True, help="rank-2 (n_s, k) one-hot tensor file")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--tmax", type=int, default=1000)
+    p.add_argument("--tol", type=float, default=EpisodeConfig.tol)
+    p.add_argument("--tmax", type=int, default=EpisodeConfig.t_max)
     p.add_argument("--out", required=True, help="output (n, k) solution tensor file")
     p.set_defaults(handler=_cmd_propagate)
 

@@ -15,10 +15,6 @@ class WindowTooLarge(PoissonPropError):
     """Pooling window exceeds the spatial extent of the input."""
 
 
-class LengthMismatch(PoissonPropError):
-    """Vectors of different lengths where equal lengths are required."""
-
-
 # --- prototypes ---
 
 class GridMismatch(PoissonPropError):
@@ -47,10 +43,6 @@ class NoLabels(PoissonPropError):
 
 class DisconnectedGraph(PoissonPropError):
     """The propagation graph has more than one connected component."""
-
-
-class TooLargeForDirect(PoissonPropError):
-    """Vertex count exceeds the dense direct-solver guard."""
 
 
 class ShapeMismatch(PoissonPropError):

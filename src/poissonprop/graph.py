@@ -178,16 +178,6 @@ def _knn(pts: np.ndarray, k_neighbors: int) -> tuple[np.ndarray, np.ndarray]:
     return neighbors, sq_dists
 
 
-def knn_distances(points, k_neighbors: int) -> np.ndarray:
-    """Distance from each point to its K-th nearest other point.
-
-    Ties are broken by vertex index; results are floored at 1e-12 to
-    guard division by zero on duplicate points.
-    """
-    _, sq_dists = _knn(_as_points(points), k_neighbors)
-    return np.maximum(np.sqrt(sq_dists[:, -1]), DISTANCE_FLOOR)
-
-
 def build_weight_graph(points, k_neighbors: int) -> WeightedGraph:
     """Sparse self-tuning kNN weight graph.
 

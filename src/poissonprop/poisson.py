@@ -8,9 +8,6 @@ same system by Jacobi-preconditioned conjugate gradients from R = 0.
 Every iterate keeps the degree-weighted zero-sum constraint
 sum_i d_i R[i, :] = 0 (1^T L = 0, 1^T source = 0 and d^T D^{-1} r = 1^T r),
 which pins down the solution despite L's constant nullspace.
-
-``solve_direct`` is an independent dense least-squares route kept as a
-test oracle for the iterative solver; do not fold the two together.
 """
 
 from __future__ import annotations
@@ -19,17 +16,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
-from .errors import (
-    DimensionMismatch,
-    DisconnectedGraph,
-    NoLabels,
-    ShapeMismatch,
-    TooLargeForDirect,
-)
+from .errors import DimensionMismatch, DisconnectedGraph, NoLabels, ShapeMismatch
 from .graph import WeightedGraph, component_count, laplacian_apply
-
-DIRECT_SOLVE_LIMIT = 2000
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,12 +134,30 @@ def _check_system(graph: WeightedGraph, source: LabelSource) -> None:
     if pieces != 1:
         raise DisconnectedGraph(
             f"graph has {pieces} connected components; the zero-sum source "
-            "only balances over a single component"
+            f"only balances over a single component: {_describe_components(graph, source)}"
         )
 
 
-def _residual_inf(graph: WeightedGraph, source: LabelSource, scores: np.ndarray) -> float:
-    return float(np.abs(source.values.T - laplacian_apply(graph, scores)).max())
+def _describe_components(graph: WeightedGraph, source: LabelSource) -> str:
+    """Each component's vertex count and its labelled vertices per class."""
+    pieces, comp = connected_components(graph.weights, directed=False)
+    sizes = np.bincount(comp).tolist()
+    labelled = comp[: source.n_s]
+    if np.any(source.values):
+        # a labelled column is its one-hot label minus the label mean, so
+        # its largest entry is its class
+        classes = source.values[:, : source.n_s].argmax(axis=0)
+        counts = np.bincount(labelled * source.k + classes, minlength=pieces * source.k)
+        labels = [f"labelled per class {row}" for row in counts.reshape(pieces, -1).tolist()]
+        note = ""
+    else:
+        # a zero source no longer tells which one class every label shares
+        labels = [f"{c} labelled" for c in np.bincount(labelled, minlength=pieces).tolist()]
+        note = "every label has one class; "
+    return note + "; ".join(
+        f"component {i}: {size} vertices, {label}"
+        for i, (size, label) in enumerate(zip(sizes, labels))
+    )
 
 
 def solve_iterative(
@@ -222,36 +230,6 @@ def solve_iterative(
         converged=converged,
         residual_inf=residual_inf,
     )
-
-
-def solve_direct(graph: WeightedGraph, source: LabelSource) -> PropagationResult:
-    """Dense least-squares oracle for the iterative solver.
-
-    L is singular with a constant nullspace; the zero-sum source makes
-    the system consistent, and the degree-weighted shift applied
-    afterwards selects the same solution the iteration converges to.
-    """
-    _check_system(graph, source)
-    if graph.n > DIRECT_SOLVE_LIMIT:
-        raise TooLargeForDirect(
-            f"n={graph.n} exceeds the dense-solve guard ({DIRECT_SOLVE_LIMIT})"
-        )
-    lap = np.diag(graph.degrees) - graph.weights.toarray()
-    scores, *_ = np.linalg.lstsq(lap, source.values.T, rcond=None)
-    scores = degree_weighted_center(scores, graph.degrees)
-    return PropagationResult(
-        scores=scores,
-        iterations=0,
-        final_step=0.0,
-        converged=True,
-        residual_inf=_residual_inf(graph, source, scores),
-    )
-
-
-def degree_weighted_center(scores: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """Shift each column so its degree-weighted sum is zero."""
-    shift = (degrees @ scores) / degrees.sum()
-    return scores - shift[None, :]
 
 
 def softmax_channels(values: np.ndarray) -> np.ndarray:

@@ -67,10 +67,6 @@ class TwoLayerParams:
     def in_dim(self) -> int:
         return self.first.in_dim
 
-    @property
-    def out_dim(self) -> int:
-        return self.second.out_dim
-
     def apply(self, vectors: np.ndarray) -> np.ndarray:
         hidden = np.maximum(self.first.apply(vectors), 0.0)
         return self.second.apply(hidden)

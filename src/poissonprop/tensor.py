@@ -1,4 +1,4 @@
-"""Dense tensor containers and elementary pooling/similarity kernels.
+"""Dense tensor containers, pooling, and the zero-norm row normalization.
 
 All containers hold float64 data internally; 32-bit file inputs are
 widened at load time so long iterative runs do not accumulate
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import LengthMismatch, WindowTooLarge
+from .errors import WindowTooLarge
 
 ZERO_NORM_EPS = 1e-12
 
@@ -35,10 +35,6 @@ class Tensor:
 
     def __post_init__(self):
         object.__setattr__(self, "data", _as_float64(self.data, "tensor data"))
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.data.shape
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,14 +81,6 @@ class SoftMask:
             raise ValueError("mask values must lie in [0, 1]")
         object.__setattr__(self, "data", arr)
 
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
 
 def avg_pool(fmap: FeatureMap, window: tuple[int, int]) -> FeatureMap:
     """Channel-wise average pooling over a non-overlapping tiling.
@@ -122,20 +110,6 @@ def _unit_rows(vectors: np.ndarray) -> np.ndarray:
     ok = norms >= ZERO_NORM_EPS
     unit[ok] = vectors[ok] / norms[ok, None]
     return unit
-
-
-def cosine_similarity(u, v) -> float:
-    """Cosine of the angle between two vectors, in [-1, 1].
-
-    Returns 0 when either norm falls below 1e-12; near-zero feature
-    vectors must not poison downstream sums.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
-        raise LengthMismatch(f"vector lengths differ: {u.shape} vs {v.shape}")
-    unit = _unit_rows(np.stack([u, v]))
-    return float(np.clip(unit[0] @ unit[1], -1.0, 1.0))
 
 
 def downsample_mask(mask: SoftMask, window: tuple[int, int]) -> SoftMask:

@@ -1,13 +1,55 @@
-"""Shared test fixtures: random propagation systems and frozen synth specs."""
+"""Shared test fixtures: random propagation systems, frozen synth specs
+and the dense least-squares oracle for the iterative solver."""
 
 from __future__ import annotations
 
 import numpy as np
 
 import poissonprop as pp
-from poissonprop.graph import component_count
+from poissonprop.errors import PoissonPropError
+from poissonprop.graph import WeightedGraph, component_count, laplacian_apply
+from poissonprop.poisson import LabelSource, PropagationResult, _check_system
 
 UNIT8 = np.ones(8) / np.sqrt(8)
+DIRECT_SOLVE_LIMIT = 2000
+
+
+class TooLargeForDirect(PoissonPropError):
+    """Vertex count exceeds the dense direct-solver guard."""
+
+
+def _residual_inf(graph: WeightedGraph, source: LabelSource, scores: np.ndarray) -> float:
+    return float(np.abs(source.values.T - laplacian_apply(graph, scores)).max())
+
+
+def solve_direct(graph: WeightedGraph, source: LabelSource) -> PropagationResult:
+    """Dense least-squares oracle for the iterative solver.
+
+    L is singular with a constant nullspace; the zero-sum source makes
+    the system consistent, and the degree-weighted shift applied
+    afterwards selects the same solution the iteration converges to.
+    """
+    _check_system(graph, source)
+    if graph.n > DIRECT_SOLVE_LIMIT:
+        raise TooLargeForDirect(
+            f"n={graph.n} exceeds the dense-solve guard ({DIRECT_SOLVE_LIMIT})"
+        )
+    lap = np.diag(graph.degrees) - graph.weights.toarray()
+    scores, *_ = np.linalg.lstsq(lap, source.values.T, rcond=None)
+    scores = degree_weighted_center(scores, graph.degrees)
+    return PropagationResult(
+        scores=scores,
+        iterations=0,
+        final_step=0.0,
+        converged=True,
+        residual_inf=_residual_inf(graph, source, scores),
+    )
+
+
+def degree_weighted_center(scores: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """Shift each column so its degree-weighted sum is zero."""
+    shift = (degrees @ scores) / degrees.sum()
+    return scores - shift[None, :]
 
 
 def random_connected_system(seed: int, dim: int = 8):
@@ -35,6 +77,13 @@ def random_connected_system(seed: int, dim: int = 8):
     one_hot[np.arange(n_s), classes] = 1.0
     source = pp.build_source(one_hot, n)
     return graph, source
+
+
+def cosine(u, v) -> float:
+    """Cosine of two vectors by the library's route: the similarity map of
+    a one-pixel query ``u`` against the prototype ``v``."""
+    query = pp.FeatureMap(np.asarray(u, dtype=np.float64)[:, None, None])
+    return float(pp.similarity_map(query, v).data.item())
 
 
 def two_blob_spec(seed: int, n_auxiliary: int = 3, separation: float = 10.0) -> pp.SynthSpec:

@@ -6,7 +6,7 @@ import pytest
 import poissonprop as pp
 from _util import two_blob_spec
 from poissonprop import load_tensor, save_tensor
-from poissonprop.cli import main
+from poissonprop.cli import _build_parser, main
 from poissonprop.errors import ManifestError
 from poissonprop.manifest import load_synth_spec
 from poissonprop.tensorfile import DTYPE_U8
@@ -83,6 +83,19 @@ class TestGraphPropagate:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: DisconnectedGraph:")
+
+    def test_defaults_are_episode_config_defaults(self):
+        parser = _build_parser()
+        graph = parser.parse_args(["graph", "--features", "f.t", "--out", "g.t"])
+        propagate = parser.parse_args(
+            ["propagate", "--graph", "g.t", "--labels", "l.t", "--out", "r.t"]
+        )
+        config = pp.EpisodeConfig()
+        assert (graph.k, propagate.tol, propagate.tmax) == (
+            config.knn_k,
+            config.tol,
+            config.t_max,
+        )
 
     @pytest.mark.parametrize("tol", ["inf", "nan"])
     def test_propagate_rejects_non_finite_tol(self, tmp_path, capsys, tol):

@@ -1,13 +1,27 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
 import poissonprop as pp
-from _util import aligned_rect_spec, two_blob_spec
+from _util import UNIT8, aligned_rect_spec, two_blob_spec
 from poissonprop import Episode, EpisodeConfig, predict_mask, run_episode, to_triplets
-from poissonprop.errors import DegenerateMask
+from poissonprop.errors import DegenerateMask, DisconnectedGraph
 from poissonprop.tensor import FeatureMap, SoftMask
+
+
+@functools.cache
+def _same_sign_results():
+    """Six episodes whose class means lie on the same side of the origin."""
+    results = []
+    for size in (4.0, 6.0):
+        for seed in range(3):
+            spec = dataclasses.replace(
+                two_blob_spec(seed), size=size, fg_mean=8 * UNIT8, bg_mean=3 * UNIT8
+            )
+            results.append(run_episode(pp.synth_episode(spec)[0]))
+    return tuple(results)
 
 
 class TestPredictMask:
@@ -173,6 +187,22 @@ class TestRunEpisode:
         assert res.mask_calibrated.any()
         assert res.dsc_calibrated >= 0.9
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="calibrated mode with the default cosine channel is a test on the "
+        "cosine's sign: with both class means on the same side of the origin every "
+        "pixel shares one sign, and the calibrated mask is empty (dsc 0.000 on all six)",
+    )
+    def test_calibrated_mode_same_sign_classes(self):
+        scores = [res.dsc_calibrated for res in _same_sign_results()]
+        assert min(scores) >= 0.5, scores
+
+    def test_poisson_mode_same_sign_classes(self):
+        # the episodes the calibrated-mode xfail uses are easy for poisson mode
+        scores = [res.dsc_poisson for res in _same_sign_results()]
+        assert min(scores) >= 0.85, scores
+
     def test_mode_selects_mask(self):
         ep, _ = pp.synth_episode(two_blob_spec(8))
         res_p = run_episode(ep)
@@ -209,6 +239,17 @@ class TestDegenerateEpisodes:
         with pytest.warns(UserWarning):
             with pytest.raises(DegenerateMask, match="global-prototype"):
                 run_episode(ep)
+
+    def test_disconnected_episode_names_components(self):
+        # radius 5 splits the two blobs: the truth follows the split, so a
+        # per-component answer would be easy to get silently wrong
+        ep, _ = pp.synth_episode(dataclasses.replace(two_blob_spec(0), size=5.0))
+        with pytest.raises(DisconnectedGraph, match="propagation") as err:
+            run_episode(ep)
+        assert str(err.value).endswith(
+            "component 0: 223 vertices, labelled per class [12, 0]; "
+            "component 1: 97 vertices, labelled per class [0, 4]"
+        )
 
     def test_stage_name_attached_to_errors(self):
         ep, _ = pp.synth_episode(two_blob_spec(11))

@@ -8,12 +8,11 @@ from poissonprop import (
     VertexSet,
     build_weight_graph,
     from_triplets,
-    knn_distances,
     laplacian_apply,
     to_triplets,
 )
 from poissonprop.errors import DimensionMismatch, KTooLarge
-from poissonprop.graph import DISTANCE_FLOOR, WeightedGraph, component_count
+from poissonprop.graph import DISTANCE_FLOOR, WeightedGraph, _knn, component_count
 
 LINE = np.array([[0.0], [1.0], [3.0]])
 
@@ -29,11 +28,11 @@ def _reference_sq_dists(points):
     return out
 
 
-def _reference_knn_distances(points, k):
+def _reference_knn(points, k):
+    """K nearest other points and their squared distances, by a stable full argsort."""
     d2 = _reference_sq_dists(points)
-    order = np.argsort(d2, axis=1, kind="stable")
-    dists = np.sqrt(d2[np.arange(len(points)), order[:, k - 1]])
-    return np.maximum(dists, DISTANCE_FLOOR)
+    neighbors = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return neighbors, np.take_along_axis(d2, neighbors, axis=1)
 
 
 def _reference_triplets(points, k):
@@ -82,8 +81,10 @@ class TestExactKnnEquivalence:
 
     def test_knn_distances_byte_equal(self, case):
         points, k = EQUIVALENCE_CORPUS[case]
-        got = knn_distances(points, k)
-        assert got.tobytes() == _reference_knn_distances(points, k).tobytes()
+        neighbors, sq_dists = _knn(points, k)
+        ref_neighbors, ref_sq_dists = _reference_knn(points, k)
+        assert neighbors.tobytes() == ref_neighbors.tobytes()
+        assert sq_dists.tobytes() == ref_sq_dists.tobytes()
 
 
 def test_graph_build_memory_is_linear():
@@ -119,22 +120,33 @@ def test_graph_build_memory_on_duplicate_points():
 
 class TestKnnDistances:
     def test_line_k1(self):
-        assert np.array_equal(knn_distances(LINE, 1), [1.0, 1.0, 2.0])
+        neighbors, sq_dists = _knn(LINE, 1)
+        assert np.array_equal(neighbors, [[1], [0], [1]])
+        assert np.array_equal(sq_dists, [[1.0], [1.0], [4.0]])
 
     def test_line_k2(self):
-        assert np.array_equal(knn_distances(LINE, 2), [3.0, 2.0, 3.0])
+        neighbors, sq_dists = _knn(LINE, 2)
+        assert np.array_equal(neighbors, [[1, 2], [0, 2], [1, 0]])
+        assert np.array_equal(sq_dists, [[1.0, 9.0], [1.0, 4.0], [4.0, 9.0]])
 
     def test_duplicates_floored(self):
-        out = knn_distances(np.zeros((4, 3)), 2)
-        assert np.array_equal(out, np.full(4, 1e-12))
+        # a zero K-th distance is floored at 1e-12 as the bandwidth, so
+        # every directed duplicate edge weighs exp(0) = 1 instead of 0 / 0
+        points = np.zeros((4, 3))
+        neighbors, sq_dists = _knn(points, 2)
+        assert np.array_equal(neighbors, [[1, 2], [0, 2], [0, 1], [0, 1]])
+        assert np.all(sq_dists == 0.0)
+        weights = build_weight_graph(points, 2).weights.toarray()
+        expected = [[0, 1, 1, 0.5], [1, 0, 1, 0.5], [1, 1, 0, 0], [0.5, 0.5, 0, 0]]
+        assert np.array_equal(weights, expected)
 
     def test_k_too_large(self):
         with pytest.raises(KTooLarge):
-            knn_distances(LINE, 3)
+            _knn(LINE, 3)
 
     def test_non_finite_points_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            knn_distances(np.array([[0.0], [np.nan], [1.0]]), 1)
+            build_weight_graph(np.array([[0.0], [np.nan], [1.0]]), 1)
 
 
 class TestBuildWeightGraph:

@@ -7,7 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _util import UNIT8, random_connected_system
+from _util import (
+    UNIT8,
+    TooLargeForDirect,
+    degree_weighted_center,
+    random_connected_system,
+    solve_direct,
+)
 from poissonprop import (
     PropagationResult,
     SynthSpec,
@@ -17,7 +23,6 @@ from poissonprop import (
     from_triplets,
     laplacian_apply,
     run_episode,
-    solve_direct,
     solve_iterative,
     synth_episode,
 )
@@ -26,9 +31,8 @@ from poissonprop.errors import (
     DisconnectedGraph,
     NoLabels,
     ShapeMismatch,
-    TooLargeForDirect,
 )
-from poissonprop.poisson import ConfidenceMap, LabelSource, degree_weighted_center
+from poissonprop.poisson import ConfidenceMap, LabelSource
 
 K2 = from_triplets([[0, 1, 1.0]])
 
@@ -195,6 +199,27 @@ class TestIterative:
         with pytest.raises(DisconnectedGraph):
             solve_iterative(g, src)
 
+    def test_disconnected_graph_names_components(self):
+        g = from_triplets([[0, 1, 1.0], [2, 3, 1.0], [4, 5, 1.0], [5, 6, 1.0]])
+        labels = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+        message = (
+            "component 0: 2 vertices, labelled per class [1, 1]; "
+            "component 1: 2 vertices, labelled per class [0, 1]; "
+            "component 2: 3 vertices, labelled per class [0, 0]"
+        )
+        with pytest.raises(DisconnectedGraph, match=r"3 connected components.*: ") as err:
+            solve_iterative(g, build_source(labels, 7))
+        assert str(err.value).endswith(message)
+        # a zero source cannot tell which class the labels share: no class is named
+        with pytest.warns(UserWarning, match="one class"):
+            zero = build_source(labels[[1, 2]], 7)
+        with pytest.raises(DisconnectedGraph) as err:
+            solve_iterative(g, zero)
+        assert str(err.value).endswith(
+            "every label has one class; component 0: 2 vertices, 2 labelled; "
+            "component 1: 2 vertices, 0 labelled; component 2: 3 vertices, 0 labelled"
+        )
+
     def test_source_size_mismatch(self):
         src = build_source(np.eye(2), 3)
         with pytest.raises(DimensionMismatch):
@@ -238,11 +263,14 @@ class TestIterative:
 
     def test_residual_inf_is_true_residual(self):
         graph, source = random_connected_system(6)
-        for t_max in (3, 100000):
-            res = solve_iterative(graph, source, t_max=t_max, tol=1e-10)
+        with pytest.warns(UserWarning, match="unconverged"):
+            stopped = solve_iterative(graph, source, t_max=3, tol=1e-10)
+        assert stopped.converged is False
+        solved = solve_iterative(graph, source, t_max=100000, tol=1e-10)
+        for res in (stopped, solved):
             residual = source.values.T - laplacian_apply(graph, res.scores)
             assert res.residual_inf == np.abs(residual).max()
-        assert res.converged and res.residual_inf < 1e-8
+        assert solved.converged and solved.residual_inf < 1e-8
 
     def test_class_swap_negates_solution(self):
         graph, _ = random_connected_system(5)

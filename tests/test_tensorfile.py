@@ -13,7 +13,7 @@ class TestRoundTrip:
         path = tmp_path / "t.t"
         save_tensor(path, data)
         back = load_tensor(path)
-        assert back.dims == (3, 5, 2)
+        assert back.data.shape == (3, 5, 2)
         assert np.array_equal(back.data, data)
         assert back.data.dtype == np.float64
 
@@ -44,7 +44,7 @@ class TestRoundTrip:
             data = np.arange(np.prod(shape), dtype=np.float64).reshape(shape)
             path = tmp_path / "t.t"
             save_tensor(path, data)
-            assert load_tensor(path).dims == shape
+            assert load_tensor(path).data.shape == shape
 
     def test_save_accepts_tensor_object(self, tmp_path):
         t = Tensor(np.ones((2, 2)))
