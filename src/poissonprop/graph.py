@@ -90,6 +90,8 @@ class WeightedGraph:
         w.sum_duplicates()
         if w.shape[0] != w.shape[1]:
             raise ValueError("weight matrix must be square")
+        if not np.all(np.isfinite(w.data)):
+            raise ValueError("weights must be finite")
         if (w != w.T).nnz != 0:
             raise ValueError("weight matrix must be symmetric")
         if np.any(w.diagonal() != 0.0):
@@ -232,24 +234,26 @@ def to_triplets(graph: WeightedGraph) -> np.ndarray:
 def from_triplets(triplets) -> WeightedGraph:
     """Rebuild a graph from an (n_edges, 3) upper-triangle edge list.
 
-    The vertex count is the largest index + 1.
+    The vertex count is the largest index + 1; a pair listed twice is an error.
     """
     arr = np.asarray(triplets, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError(f"triplets must be (n_edges, 3), got {arr.shape}")
     if arr.shape[0] == 0:
         raise ValueError("triplets must hold at least one edge")
-    rows = arr[:, 0]
-    cols = arr[:, 1]
-    vals = arr[:, 2]
-    if np.any(rows != np.rint(rows)) or np.any(cols != np.rint(cols)):
-        raise ValueError("edge indices must be integral")
-    rows = rows.astype(np.int64)
-    cols = cols.astype(np.int64)
+    ends, vals = arr[:, :2], arr[:, 2]
+    if not np.all(np.isfinite(ends) & (ends == np.rint(ends))):
+        raise ValueError("edge indices must be finite integers")
+    rows, cols = ends.astype(np.int64).T
     if np.any(rows < 0) or np.any(cols < 0):
         raise ValueError("edge indices must be nonnegative")
     if np.any(rows == cols):
         raise ValueError("self edges are not allowed")
-    n = int(max(rows.max(), cols.max())) + 1
+    n = int(ends.max()) + 1
+    keys = np.sort(np.minimum(rows, cols) * n + np.maximum(rows, cols))
+    repeated = keys[1:][keys[1:] == keys[:-1]]
+    if repeated.size:
+        i, j = divmod(int(repeated[0]), n)
+        raise ValueError(f"edge ({i}, {j}) is listed more than once")
     half = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     return WeightedGraph(half + half.T)

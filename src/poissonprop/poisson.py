@@ -24,28 +24,41 @@ from .graph import WeightedGraph, component_count, laplacian_apply
 
 @dataclass(frozen=True, eq=False)
 class LabelSource:
-    """Zero-sum source term, one column per vertex (k x n)."""
+    """Zero-sum source term built from the labeled block's one-hot labels.
 
-    n_s: int
-    values: np.ndarray = field(repr=False)
+    ``labels`` is the (n_s, k) one-hot array of the first n_s of ``n``
+    vertices. ``values`` is the (k, n) source: column i is label_i minus
+    the mean label for i < n_s, zero otherwise, so the columns sum to
+    the zero vector.
+    """
+
+    labels: np.ndarray = field(repr=False)
+    n: int
+    values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=np.float64)
-        if vals.ndim != 2:
-            raise ValueError(f"source must be a (k, n) array, got shape {vals.shape}")
-        if not 1 <= self.n_s <= vals.shape[1]:
-            raise ValueError(f"n_s={self.n_s} out of range for n={vals.shape[1]}")
-        if np.any(vals[:, self.n_s :] != 0.0):
-            raise ValueError("columns past the labeled block must be zero")
-        object.__setattr__(self, "values", vals)
+        labels = np.ascontiguousarray(self.labels, dtype=np.float64)
+        if labels.ndim != 2:
+            raise ValueError("labels must be an (n_s, k) array of one-hot rows")
+        n_s = labels.shape[0]
+        if n_s == 0:
+            raise NoLabels("at least one labeled vertex is required")
+        if n_s > self.n:
+            raise ValueError(f"n_s={n_s} exceeds n={self.n}")
+        if not (np.all(np.isin(labels, (0.0, 1.0))) and np.all(labels.sum(axis=1) == 1.0)):
+            raise ValueError("each label row must be one-hot")
+        values = np.zeros((labels.shape[1], self.n), dtype=np.float64)
+        values[:, :n_s] = (labels - labels.mean(axis=0)).T
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "values", values)
+
+    @property
+    def n_s(self) -> int:
+        return self.labels.shape[0]
 
     @property
     def k(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[1]
+        return self.labels.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,40 +90,17 @@ class ConfidenceMap:
             raise ValueError("confidence values must lie in [0, 1]")
         object.__setattr__(self, "values", vals)
 
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
 
 def build_source(one_hot_labels, n: int) -> LabelSource:
-    """Center the labeled block's one-hot labels and pad with zeros.
+    """``LabelSource(one_hot_labels, n)``, warning about a degenerate source.
 
-    Column i of the result is label_i minus the mean label vector for
-    i < n_s, zero otherwise, so all columns sum to the zero vector.
     Warns when a class has no labeled vertex: its scores are then
     identically zero, and when only one class is labeled (or only one
     vertex) the whole source vanishes and propagation returns all zeros.
     """
-    labels = np.ascontiguousarray(one_hot_labels, dtype=np.float64)
-    if labels.ndim != 2:
-        raise ValueError("labels must be an (n_s, k) array of one-hot rows")
-    n_s = labels.shape[0]
-    if n_s == 0:
-        raise NoLabels("at least one labeled vertex is required")
-    if n_s > n:
-        raise ValueError(f"n_s={n_s} exceeds n={n}")
-    is_one_hot = np.all(np.isin(labels, (0.0, 1.0))) and np.all(labels.sum(axis=1) == 1.0)
-    if not is_one_hot:
-        raise ValueError("each label row must be one-hot")
-    mean = labels.mean(axis=0)
-    values = np.zeros((labels.shape[1], n), dtype=np.float64)
-    values[:, :n_s] = (labels - mean).T
-    missing = np.flatnonzero(labels.sum(axis=0) == 0.0)
-    if not np.any(values):
+    source = LabelSource(one_hot_labels, n)
+    missing = np.flatnonzero(source.labels.sum(axis=0) == 0.0)
+    if not np.any(source.values):
         warnings.warn(
             "all labeled vertices share one class; the centered source is zero "
             "and propagation will return an all-zero solution",
@@ -122,7 +112,7 @@ def build_source(one_hot_labels, n: int) -> LabelSource:
             "their propagated scores are identically zero",
             stacklevel=2,
         )
-    return LabelSource(n_s=n_s, values=values)
+    return source
 
 
 def _check_system(graph: WeightedGraph, source: LabelSource) -> None:
@@ -141,22 +131,11 @@ def _check_system(graph: WeightedGraph, source: LabelSource) -> None:
 def _describe_components(graph: WeightedGraph, source: LabelSource) -> str:
     """Each component's vertex count and its labelled vertices per class."""
     pieces, comp = connected_components(graph.weights, directed=False)
-    sizes = np.bincount(comp).tolist()
-    labelled = comp[: source.n_s]
-    if np.any(source.values):
-        # a labelled column is its one-hot label minus the label mean, so
-        # its largest entry is its class
-        classes = source.values[:, : source.n_s].argmax(axis=0)
-        counts = np.bincount(labelled * source.k + classes, minlength=pieces * source.k)
-        labels = [f"labelled per class {row}" for row in counts.reshape(pieces, -1).tolist()]
-        note = ""
-    else:
-        # a zero source no longer tells which one class every label shares
-        labels = [f"{c} labelled" for c in np.bincount(labelled, minlength=pieces).tolist()]
-        note = "every label has one class; "
-    return note + "; ".join(
-        f"component {i}: {size} vertices, {label}"
-        for i, (size, label) in enumerate(zip(sizes, labels))
+    counts = np.zeros((pieces, source.k), dtype=np.int64)
+    np.add.at(counts, (comp[: source.n_s], source.labels.argmax(axis=1)), 1)
+    return "; ".join(
+        f"component {i}: {size} vertices, labelled per class {row}"
+        for i, (size, row) in enumerate(zip(np.bincount(comp).tolist(), counts.tolist()))
     )
 
 
@@ -232,29 +211,19 @@ def solve_iterative(
     )
 
 
-def softmax_channels(values: np.ndarray) -> np.ndarray:
-    """Softmax over axis 0 of a (k, H, W) stack, numerically shifted."""
-    shifted = values - values.max(axis=0, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=0, keepdims=True)
-
-
 def extract_confidence_map(result: PropagationResult, height: int, width: int) -> ConfidenceMap:
     """Foreground confidence for the query block.
 
     Takes the last ``n_q = height * width`` rows of the solution (the
-    query vertices, in row-major pixel order), reshapes them to a
-    (k, H, W) stack, applies a per-pixel softmax over the k channels,
-    and returns the last channel, which is foreground by the
-    class-ordering convention.
+    query vertices, in row-major pixel order), applies a per-row softmax
+    over the k channels, and returns the last channel, which is
+    foreground by the class-ordering convention, as an (H, W) map.
     """
     n_q = height * width
     if result.scores.shape[0] < n_q:
         raise ShapeMismatch(
             f"solution has {result.scores.shape[0]} rows, need at least {n_q}"
         )
-    k = result.scores.shape[1]
     query_block = result.scores[-n_q:, :]  # (n_q, k)
-    stacked = query_block.T.reshape(k, height, width)
-    probs = softmax_channels(stacked)
-    return ConfidenceMap(probs[k - 1])
+    ex = np.exp(query_block - query_block.max(axis=1, keepdims=True))
+    return ConfidenceMap((ex[:, -1] / ex.sum(axis=1)).reshape(height, width))

@@ -108,11 +108,8 @@ def similarity_map(
 
 def fuse_confidence(sim: FeatureMap, conf: ConfidenceMap) -> FeatureMap:
     """Scale every channel of the similarity map by the confidence map."""
-    if (sim.height, sim.width) != (conf.height, conf.width):
-        raise ShapeMismatch(
-            f"similarity {(sim.height, sim.width)} vs confidence "
-            f"{(conf.height, conf.width)}"
-        )
+    if sim.data.shape[1:] != conf.values.shape:
+        raise ShapeMismatch(f"similarity {sim.data.shape[1:]} vs confidence {conf.values.shape}")
     return FeatureMap(sim.data * conf.values[None, :, :])
 
 

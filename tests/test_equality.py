@@ -24,7 +24,7 @@ FACTORIES = {
     "FeatureMap": lambda: pp.FeatureMap(np.ones((1, 2, 2))),
     "SoftMask": lambda: pp.SoftMask(np.full((2, 2), 0.5)),
     "ConfidenceMap": lambda: ConfidenceMap(np.full((2, 2), 0.5)),
-    "LabelSource": lambda: LabelSource(2, np.array([[0.5, -0.5, 0.0], [-0.5, 0.5, 0.0]])),
+    "LabelSource": lambda: LabelSource(np.eye(2), 3),
     "PropagationResult": lambda: PropagationResult(np.zeros((3, 2)), 1, 0.0, True, 0.0),
     "WeightedGraph": lambda: pp.WeightedGraph(np.array([[0.0, 1.0], [1.0, 0.0]])),
     "VertexSet": lambda: pp.VertexSet(np.zeros((3, 2)), labels=np.array([1, 0]), n_a=0),

@@ -270,6 +270,17 @@ class TestTriplets:
         with pytest.raises(ValueError, match="at least one edge"):
             from_triplets(np.empty((0, 3)))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1.5])
+    def test_non_integer_index_rejected(self, bad):
+        with pytest.raises(ValueError, match="edge indices must be finite integers"):
+            from_triplets([[0, 1, 1.0], [1, bad, 1.0]])
+
+    @pytest.mark.parametrize("repeat", [[1, 0, 1.0], [0, 1, 1.0]], ids=["reversed", "same"])
+    def test_repeated_pair_rejected(self, repeat):
+        # summing the two rows would silently double the edge's weight
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) is listed more than once"):
+            from_triplets([[0, 1, 1.0], repeat, [1, 2, 1.0]])
+
 
 class TestWeightedGraph:
     def test_sizes_derived_from_weights(self):
@@ -283,6 +294,13 @@ class TestWeightedGraph:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             WeightedGraph(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            from_triplets([[0, 1, 1.0], [1, 2, bad]])
+        with pytest.raises(ValueError, match="weights must be finite"):
+            WeightedGraph(np.array([[0.0, bad], [bad, 0.0]]))
 
 
 class TestVertexSet:

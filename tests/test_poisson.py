@@ -88,10 +88,16 @@ class TestBuildSource:
         with pytest.raises(TypeError):
             LabelSource(k=3, n=5, n_s=3, values=src.values)
 
-    def test_trailing_columns_validated(self):
-        bad = np.ones((2, 3))
-        with pytest.raises(ValueError, match="zero"):
-            LabelSource(n_s=1, values=bad)
+    def test_values_are_derived_from_labels(self):
+        # the source is built from labels only, so a non-zero-sum one cannot exist
+        with pytest.raises(TypeError):
+            LabelSource(np.eye(2), 3, values=np.ones((2, 3)))
+        rng = np.random.default_rng(33)
+        for n_s in (1, 2, 7, 100):
+            labels = np.eye(4)[rng.integers(0, 4, n_s)]
+            src = LabelSource(labels, n_s + 5)
+            assert np.array_equal(src.labels, labels)
+            assert np.abs(src.values.sum(axis=1)).max() <= 1e-15 * n_s
 
 
 class TestIterative:
@@ -210,14 +216,15 @@ class TestIterative:
         with pytest.raises(DisconnectedGraph, match=r"3 connected components.*: ") as err:
             solve_iterative(g, build_source(labels, 7))
         assert str(err.value).endswith(message)
-        # a zero source cannot tell which class the labels share: no class is named
+        # a zero source still names the class its labels share
         with pytest.warns(UserWarning, match="one class"):
             zero = build_source(labels[[1, 2]], 7)
         with pytest.raises(DisconnectedGraph) as err:
             solve_iterative(g, zero)
         assert str(err.value).endswith(
-            "every label has one class; component 0: 2 vertices, 2 labelled; "
-            "component 1: 2 vertices, 0 labelled; component 2: 3 vertices, 0 labelled"
+            "component 0: 2 vertices, labelled per class [0, 2]; "
+            "component 1: 2 vertices, labelled per class [0, 0]; "
+            "component 2: 3 vertices, labelled per class [0, 0]"
         )
 
     def test_source_size_mismatch(self):
@@ -293,7 +300,7 @@ class TestIterative:
         from poissonprop.graph import WeightedGraph
 
         g2 = WeightedGraph(w_perm)
-        src2 = LabelSource(n_s=n_s, values=source.values[:, perm])
+        src2 = LabelSource(source.labels[perm[:n_s]], n)
         base = solve_iterative(graph, source, t_max=200)
         permuted = solve_iterative(g2, src2, t_max=200)
         assert np.allclose(permuted.scores, base.scores[perm], atol=1e-12)
@@ -409,8 +416,7 @@ class TestConfidenceMap:
         rng = np.random.default_rng(32)
         scores = rng.standard_normal((8, 3))
         conf = extract_confidence_map(_result(scores), 2, 4)
-        from poissonprop.poisson import softmax_channels
-
-        stack = softmax_channels(scores.T.reshape(3, 2, 4))
-        assert np.allclose(stack.sum(axis=0), 1.0, atol=1e-12)
-        assert np.array_equal(conf.values, stack[2])
+        ex = np.exp(scores - scores.max(axis=1, keepdims=True))
+        probs = ex / ex.sum(axis=1, keepdims=True)
+        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+        assert np.array_equal(conf.values, probs[:, 2].reshape(2, 4))
