@@ -3,11 +3,11 @@
 Edge weights use a self-tuning Gaussian kernel: the squared distance to
 each point's K-th nearest neighbor sets that point's local bandwidth,
 so the weight matrix is invariant to global rescaling of the points.
-The kNN search is exact, with ties broken toward the lower index: a
-GEMM screen over row blocks keeps every candidate within a rigorous
-rounding margin, and the survivors' distances are recomputed
-elementwise, so the graph is bit-identical for any BLAS library or
-BLAS thread count and working memory stays O(block * n).
+The kNN search is exact, with ties broken toward the lower index: per
+row block, one GEMM screens all pairs against each row's K-th distance,
+bounded from minima over strided column groups, under a proven rounding
+margin; survivors' distances are recomputed elementwise, so the graph is
+bit-identical for any BLAS build or thread count, in O(block * n) memory.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .errors import DimensionMismatch, KTooLarge
 
 DISTANCE_FLOOR = 1e-12
 _BLOCK_ROWS = 64
+_GROUP_WIDTH = 8
 
 
 def _as_points(points) -> np.ndarray:
@@ -109,22 +110,28 @@ class WeightedGraph:
         return self.weights.shape[0]
 
 
-# Screening margin. Let u = 2^-53 (eps = 2u), x~ = fl(x - mean) and
-# S_ij = (|x~_i| + |x~_j|)^2, which bounds the exact d_ij = |x_i - x_j|^2.
-# The elementwise recompute D_ij = fl(sum fl(fl(x_i - x_j)^2)) is within
-# (C+2)u d_ij of d_ij: one rounding for the difference, two for the
-# square, at most C-1 for a sum of nonnegative terms. The GEMM screen
-# A_ij = fl(|x~_i|^2 + |x~_j|^2 - 2 x~_i.x~_j) is within (C+4)u S_ij of
-# d_ij: 2u from centring (each x~ component is off by u relative), C u
-# from the dot product and the two norms (Cauchy-Schwarz), 2u from the
-# two additions. So |A - D| <= (2C+6) u S_ij, up to O(C^2 u^2) S_ij.
-# The margin m_ij = (C+4) eps S_ij = (2C+8) u S_ij leaves u S_ij for the
-# rounding of A +- m and those second-order terms (fine for C << 1e8).
-# Products that underflow add at most u * 2^-1022 each, about 3C per
-# pair, which the absolute slack 4 (C+4) 2^-1074 on each row's bound
-# covers. The K smallest A + m in row i each bound their own D from
-# above, so D_(K) <= U_i, the K-th smallest A + m; every j among the K
-# nearest by D then has A_ij - m_ij <= D_ij <= U_i and survives.
+# Screen margin. u = 2^-53 (eps = 2u), x~ = fl(x - mean), a_i = |x~_i|, s_i = fl(|x~_i|^2);
+# D_ij = fl(sum fl(fl(x_i - x_j)^2)) is the recompute that ranks, d_ij = |x_i - x_j|^2 exactly.
+# Each point gets h_i = fl(fl(c s_i) + slack), c = 3 (C+2) eps, and p_i = fl(s_i + h_i); one
+# GEMM of [-2 x~, 1] by [x~, p]^T gives B_ij = fl(p_j - 2 x~_i.x~_j), a (C+1)-term dot product.
+# To first order in u: D_ij is within (C+2)u d_ij of d_ij (one rounding for the difference, two
+# for the square, C-1 for a sum of nonnegative terms), d_ij <= (a_i + a_j)^2, centring moves
+# |x~_i - x~_j|^2 from d_ij by 2u (a_i + a_j)^2, and B_ij + a_i^2 - h_j - |x~_i - x~_j|^2 is the
+# rounding of the dot product, (C+1)u (2 a_i a_j + a_j^2) by Cauchy-Schwarz, plus C u a_j^2 for
+# s_j and u a_j^2 for p_j. With the row constant R_i = a_i^2 + h_i (never computed) that gives
+# |B_ij + R_i - h_i - h_j - D_ij| <= (3C+9)u a_i^2 + (5C+11)u a_j^2 (as 2ab <= a^2 + b^2), and
+# h_i + h_j >= (6C+12)u (a_i^2 + a_j^2) leaves (C+1)u (a_i^2 + a_j^2) for the O(C^2 u^2) terms
+# (fine for C << 1e8). So B_ij - 2h_j - 2h_i + R_i <= D_ij <= B_ij + R_i.
+# Row bound: column j is in group j mod m, m = max(K, ceil(n / 8)) <= n - 1, and the diagonal is
+# +inf. The K smallest group minima are B_ij of K distinct columns j != i, so their largest, V_i,
+# gives D_(K) <= V_i + R_i (right inequality). V_i is +inf where K = n - 1 leaves a diagonal
+# alone in its group; that diagonal passes and is cleared. Each j among the K nearest has
+# D_ij <= D_(K), so B_ij - 2h_j <= V_i + 2h_i exactly (left inequality); rounding is monotone,
+# so the in-place fl(B_ij - 2h_j) <= fl(V_i + 2h_i) keeps j.
+# Underflow: sums are exact among subnormals, and each product (or fused multiply-add) that
+# underflows is off by at most 2^-1075; a pair meets at most 3C+2 (C each in the dot product,
+# s_j and D_ij, two in c s). If a_i^2 + a_j^2 >= 2^-1019 the leftover covers them. Below it,
+# h_i, h_j < 2^-1021, where adding slack = 4 (C+4) 2^-1074 is exact, and the two slacks do.
 def _knn(pts: np.ndarray, k_neighbors: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact K nearest other points of every point, in row blocks.
 
@@ -139,42 +146,40 @@ def _knn(pts: np.ndarray, k_neighbors: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("K must be positive")
     if k_neighbors > n - 1:
         raise KTooLarge(f"K={k_neighbors} but only {n - 1} other points exist")
-    centred = pts - pts.mean(axis=0)
-    minus_two = -2.0 * centred  # exact scaling, folded into the GEMM
+    rhs = np.empty((n, channels + 1))  # [x~, p]: the centred points are its first C columns
+    centred = np.subtract(pts, pts.mean(axis=0), out=rhs[:, :-1])
     sq = np.einsum("ij,ij->i", centred, centred)
     if not np.isfinite(8.0 * sq.max()):
         raise ValueError("points must be finite, with squared distances in float64 range")
-    eps = np.finfo(np.float64).eps
-    # margin m_ij = (scaled_i + scaled_j)^2 = (C+4) eps S_ij
-    scaled = np.sqrt((channels + 4) * eps) * np.sqrt(sq)
-    slack = 4 * (channels + 4) * np.finfo(np.float64).smallest_subnormal
+    half_margin = 3 * (channels + 2) * np.finfo(float).eps * sq + 4 * (channels + 4) * 2.0**-1074
+    rhs[:, -1] = sq + half_margin
+    lhs = np.hstack([-2.0 * centred, np.ones((n, 1))])  # exact scaling
+    margin = 2.0 * half_margin
+    groups = max(k_neighbors, -(-n // _GROUP_WIDTH))
+    whole = n - n % groups  # columns past it top up the first groups
     neighbors = np.empty((n, k_neighbors), dtype=np.int64)
     sq_dists = np.empty((n, k_neighbors), dtype=np.float64)
-    take = np.arange(k_neighbors)
     # inline, not a per-block function: each block's arrays live until the
     # next block rebinds them, so the allocator reuses their pages instead
     # of releasing and faulting them in again (half the time at n=5120)
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
         local = np.arange(hi - lo)
-        approx = minus_two[lo:hi] @ centred.T
-        approx += sq[lo:hi, None]
-        approx += sq
-        margin = scaled[lo:hi, None] + scaled
-        margin *= margin
-        upper = approx + margin
-        upper[local, lo + local] = np.inf
-        upper.partition(k_neighbors - 1, axis=1)
-        bound = upper[:, k_neighbors - 1] + slack
-        approx -= margin
-        keep = approx <= bound[:, None]
+        screen = lhs[lo:hi] @ rhs.T
+        screen[local, lo + local] = np.inf
+        least = screen[:, :whole].reshape(hi - lo, -1, groups).min(axis=1)
+        np.minimum(least[:, : n - whole], screen[:, whole:], out=least[:, : n - whole])
+        least.partition(k_neighbors - 1, axis=1)
+        bound = least[:, k_neighbors - 1] + margin[lo:hi]
+        screen -= margin
+        keep = screen <= bound[:, None]
         keep[local, lo + local] = False
         rows, cols = np.divmod(np.flatnonzero(keep), n)
         diff = pts[lo + rows] - pts[cols]
         d2 = np.sum(diff * diff, axis=-1)
         order = np.lexsort((cols, d2, rows))
         first = np.searchsorted(rows, local)
-        picked = order[first[:, None] + take]
+        picked = order[first[:, None] + np.arange(k_neighbors)]
         neighbors[lo:hi] = cols[picked]
         sq_dists[lo:hi] = d2[picked]
     return neighbors, sq_dists

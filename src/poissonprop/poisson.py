@@ -37,7 +37,7 @@ class LabelSource:
     values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        labels = np.ascontiguousarray(self.labels, dtype=np.float64)
+        labels = np.array(self.labels, dtype=np.float64, order="C")  # own copy: values derives from it
         if labels.ndim != 2:
             raise ValueError("labels must be an (n_s, k) array of one-hot rows")
         n_s = labels.shape[0]

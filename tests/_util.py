@@ -1,5 +1,6 @@
-"""Shared test fixtures: random propagation systems, frozen synth specs
-and the dense least-squares oracle for the iterative solver."""
+"""Shared test fixtures: random propagation systems, frozen synth specs,
+the dense least-squares oracle for the iterative solver and the
+full-table reference for the kNN search."""
 
 from __future__ import annotations
 
@@ -77,6 +78,24 @@ def random_connected_system(seed: int, dim: int = 8):
     one_hot[np.arange(n_s), classes] = 1.0
     source = pp.build_source(one_hot, n)
     return graph, source
+
+
+def _reference_sq_dists(points):
+    """Full distance table by elementwise broadcasting, 64 rows at a time."""
+    n = points.shape[0]
+    out = np.empty((n, n), dtype=np.float64)
+    for lo in range(0, n, 64):
+        diff = points[lo : lo + 64, None, :] - points[None, :, :]
+        np.sum(diff * diff, axis=2, out=out[lo : lo + 64])
+    np.fill_diagonal(out, np.inf)
+    return out
+
+
+def _reference_knn(points, k):
+    """K nearest other points and their squared distances, by a stable full argsort."""
+    d2 = _reference_sq_dists(points)
+    neighbors = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return neighbors, np.take_along_axis(d2, neighbors, axis=1)
 
 
 def cosine(u, v) -> float:

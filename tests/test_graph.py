@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from _util import _reference_knn, _reference_sq_dists
 from poissonprop import (
     VertexSet,
     build_weight_graph,
@@ -15,24 +16,6 @@ from poissonprop.errors import DimensionMismatch, KTooLarge
 from poissonprop.graph import DISTANCE_FLOOR, WeightedGraph, _knn, component_count
 
 LINE = np.array([[0.0], [1.0], [3.0]])
-
-
-def _reference_sq_dists(points):
-    """Full distance table by elementwise broadcasting, 64 rows at a time."""
-    n = points.shape[0]
-    out = np.empty((n, n), dtype=np.float64)
-    for lo in range(0, n, 64):
-        diff = points[lo : lo + 64, None, :] - points[None, :, :]
-        np.sum(diff * diff, axis=2, out=out[lo : lo + 64])
-    np.fill_diagonal(out, np.inf)
-    return out
-
-
-def _reference_knn(points, k):
-    """K nearest other points and their squared distances, by a stable full argsort."""
-    d2 = _reference_sq_dists(points)
-    neighbors = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    return neighbors, np.take_along_axis(d2, neighbors, axis=1)
 
 
 def _reference_triplets(points, k):
@@ -49,6 +32,39 @@ def _reference_triplets(points, k):
     return to_triplets(WeightedGraph((raw + raw.T) * 0.5))
 
 
+def _group_clusters(rng, groups, k):
+    """8 * groups points: members c, c + groups, ..., c + k * groups of each
+    column group c sit in a tight cluster, the group's other members far off."""
+    n = 8 * groups
+    centres = 100.0 * rng.standard_normal((groups, 4))
+    points = 1e3 * rng.standard_normal((n, 4))
+    members = np.arange((k + 1) * groups)
+    points[members] = centres[members % groups] + 1e-3 * rng.standard_normal((members.size, 4))
+    return points
+
+
+def _screen_corpus():
+    """Cases aimed at the screen's row bound: the K-th smallest minimum over
+    the column groups j mod m, m = max(K, ceil(n / 8))."""
+    rng = np.random.default_rng(31)
+    lattice = np.stack(np.meshgrid(np.arange(9.0), np.arange(9.0)), -1).reshape(-1, 2)
+    gauss = {c: rng.standard_normal((150, c)) for c in (1, 8, 256)}
+    return {
+        "one-group-clusters": (_group_clusters(rng, groups=20, k=5), 5),
+        "n-k-plus-2": (rng.standard_normal((12, 3)), 10),  # m clamped to K
+        "n-8m-minus-1": (rng.standard_normal((159, 4)), 10),  # a short last group
+        "n-8m-plus-1": (rng.standard_normal((161, 4)), 10),
+        # the far point's nearest tie exactly and its screen error grows with its
+        # own norm: fails with a zero margin, or without the margin's row term
+        "far-row-ties": (np.vstack([lattice - 4.0, [[1e9, 0.0]]]), 3),
+        **{
+            f"gauss-c{c}-scale-{scale:.0e}": (scale * gauss[c], 10)
+            for c in (1, 8, 256)
+            for scale in (1e-30, 1.0, 1e15)
+        },
+    }
+
+
 def _equivalence_corpus():
     rng = np.random.default_rng(30)
     lattice = np.stack(np.meshgrid(np.arange(9.0), np.arange(9.0)), -1).reshape(-1, 2)
@@ -60,12 +76,13 @@ def _equivalence_corpus():
         "all-duplicates": (np.full((70, 3), 0.25), 5),
         "repeated-rows": (np.tile(rng.standard_normal((20, 4)), (5, 1)), 6),
         "ties-at-kth": (lattice, 4),
-        # equal exact distances that round apart: fails with a zero margin
+        # equal exact distances that round apart
         "rounded-ties": (lattice @ turn.T + 1e3, 8),
         "offset-1e6": (rng.standard_normal((150, 8)) + 1e6, 10),
         "ragged-blocks": (rng.standard_normal((64 * 3 + 1, 5)), 7),
         "k-n-minus-1": (rng.standard_normal((40, 3)), 39),
         "far-outlier": (np.vstack([rng.standard_normal((80, 4)), [[1e7, 0, 0, 0]]]), 5),
+        **_screen_corpus(),
     }
 
 

@@ -99,6 +99,13 @@ class TestBuildSource:
             assert np.array_equal(src.labels, labels)
             assert np.abs(src.values.sum(axis=1)).max() <= 1e-15 * n_s
 
+    def test_labels_copied_from_caller(self):
+        labels = np.eye(2)
+        src = LabelSource(labels, 3)
+        labels[0] = [0.0, 1.0]
+        assert np.array_equal(src.labels, np.eye(2))
+        assert np.array_equal(src.values, [[0.5, -0.5, 0.0], [-0.5, 0.5, 0.0]])
+
 
 class TestIterative:
     def test_first_step_on_two_vertices(self):
