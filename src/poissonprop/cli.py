@@ -44,7 +44,7 @@ def _cmd_propagate(args) -> int:
     g = graph_mod.from_triplets(triplets)
     labels = load_tensor(args.labels).data
     source = poisson.build_source(labels, g.n)
-    result = poisson.solve_iterative(g, source, t_max=args.tmax, tol=args.tol)
+    result = poisson.solve_iterative(g, source, tol=args.tol)
     save_tensor(args.out, result.scores)
     print(f"iterations: {result.iterations}")
     print(f"final_step: {result.final_step!r}")
@@ -144,7 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="edge-triplet tensor file")
     p.add_argument("--labels", required=True, help="rank-2 (n_s, k) one-hot tensor file")
     p.add_argument("--tol", type=float, default=EpisodeConfig.tol)
-    p.add_argument("--tmax", type=int, default=EpisodeConfig.t_max)
     p.add_argument("--out", required=True, help="output (n, k) solution tensor file")
     p.set_defaults(handler=_cmd_propagate)
 

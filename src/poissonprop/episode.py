@@ -32,7 +32,6 @@ class EpisodeConfig:
     window: tuple[int, int] = (4, 4)
     knn_k: int = 10
     tol: float = 1e-6
-    t_max: int = 1000
     prediction_mode: str = "poisson"
     sim_params: LinearParams | None = None
     calibration_params: TwoLayerParams | None = None
@@ -159,9 +158,7 @@ def run_episode(ep: Episode) -> EpisodeResult:
         vertices.one_hot_labels(),
         vertices.n,
     )
-    propagation = _stage(
-        "propagation", poisson.solve_iterative, graph, source, cfg.t_max, cfg.tol
-    )
+    propagation = _stage("propagation", poisson.solve_iterative, graph, source, cfg.tol)
     confidence = _stage(
         "confidence-extraction",
         poisson.extract_confidence_map,

@@ -249,12 +249,15 @@ def from_triplets(triplets) -> WeightedGraph:
     ends, vals = arr[:, :2], arr[:, 2]
     if not np.all(np.isfinite(ends) & (ends == np.rint(ends))):
         raise ValueError("edge indices must be finite integers")
-    rows, cols = ends.astype(np.int64).T
-    if np.any(rows < 0) or np.any(cols < 0):
+    if np.any(ends < 0):
         raise ValueError("edge indices must be nonnegative")
+    top, m = ends.max(), len(arr)
+    if top >= 2 * m:  # checked before the int64 cast, and before the CSR is sized by it
+        raise ValueError(f"edge index {top:g} out of range: {m} edges reach {2 * m} vertices")
+    rows, cols = ends.astype(np.int64).T
     if np.any(rows == cols):
         raise ValueError("self edges are not allowed")
-    n = int(ends.max()) + 1
+    n = int(top) + 1
     keys = np.sort(np.minimum(rows, cols) * n + np.maximum(rows, cols))
     repeated = keys[1:][keys[1:] == keys[:-1]]
     if repeated.size:

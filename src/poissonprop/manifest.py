@@ -8,14 +8,14 @@ Episode manifest keys (paths are resolved relative to the manifest):
     query_features      tensor file, rank 3
     query_mask          tensor file, rank 2 (optional, enables scoring)
     config              object of overrides (optional), keys:
-        window [h, w], knn_k, tol, t_max, prediction_mode ("poisson"|"calibrated"),
+        window [h, w], knn_k, tol, prediction_mode ("poisson"|"calibrated"),
         sim_weight, sim_bias           tensor files for the similarity map
         h_w1, h_b1, h_w2, h_b2         tensor files for the calibration MLP
 
-Config values are checked for type on load: integers (not booleans)
-for knn_k and t_max, a number for tol, strings for prediction_mode and
-files. Synth spec keys are the fields of SynthSpec; those without a
-default are required.
+Config values are checked for type on load: an integer (not a boolean)
+for knn_k, a number for tol, strings for prediction_mode and files.
+Synth spec keys are the fields of SynthSpec; those without a default
+are required.
 """
 
 from __future__ import annotations

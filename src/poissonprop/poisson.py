@@ -4,10 +4,12 @@ The labeled block injects a zero-sum source (each one-hot label minus
 the label mean); propagation solves L R = source^T for the unnormalized
 Laplacian L = D - W. The paper's update is the Jacobi fixed point
 ``R <- R + D^{-1} (source^T - L R)``; ``solve_iterative`` solves the
-same system by Jacobi-preconditioned conjugate gradients from R = 0.
-Every iterate keeps the degree-weighted zero-sum constraint
-sum_i d_i R[i, :] = 0 (1^T L = 0, 1^T source = 0 and d^T D^{-1} r = 1^T r),
-which pins down the solution despite L's constant nullspace.
+same system by Jacobi-preconditioned conjugate gradients from R = 0,
+capped at n iterations for n vertices: in exact arithmetic CG ends within
+n steps (Hestenes and Stiefel, 1952). Every iterate keeps the
+degree-weighted zero-sum constraint sum_i d_i R[i, :] = 0
+(1^T L = 0, 1^T source = 0 and d^T D^{-1} r = 1^T r), which pins down
+the solution despite L's constant nullspace.
 """
 
 from __future__ import annotations
@@ -142,7 +144,6 @@ def _describe_components(graph: WeightedGraph, source: LabelSource) -> str:
 def solve_iterative(
     graph: WeightedGraph,
     source: LabelSource,
-    t_max: int = 1000,
     tol: float = 1e-6,
     on_iterate=None,
 ) -> PropagationResult:
@@ -151,15 +152,13 @@ def solve_iterative(
     All k columns advance together, each with its own step sizes. Stops
     when the true residual satisfies
     ``max|source^T - L R| <= tol * max|source|`` (converged=True) or after
-    ``t_max`` iterations (converged=False, with a UserWarning; the last
+    ``graph.n`` iterations (converged=False, with a UserWarning; the last
     step and the true residual are on the result). ``final_step`` is the
     max-norm of the last update. A zero source column, such as a class
     with no label, stays exactly zero.
     ``on_iterate(t, scores)`` is called after each update when given;
     it must not mutate its argument.
     """
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     _check_system(graph, source)
@@ -174,7 +173,7 @@ def solve_iterative(
     step = 0.0
     t = 0
     # elementwise sums, no dense product: scores stay bit-identical across BLAS builds
-    while residual_inf > bound and t < t_max:
+    while residual_inf > bound and t < graph.n:
         z = inv_deg * resid
         rz_next = np.sum(resid * z, axis=0)
         beta = np.divide(rz_next, rz, out=np.zeros_like(rz), where=rz > 0)
@@ -190,7 +189,7 @@ def solve_iterative(
         step = float(np.abs(update).max())
         if on_iterate is not None:
             on_iterate(t, scores)
-        if np.abs(resid).max() <= bound or t == t_max:
+        if np.abs(resid).max() <= bound or t == graph.n:
             # the recurrence drifts from the true residual; confirm on it
             resid = rhs - laplacian_apply(graph, scores)
             residual_inf = float(np.abs(resid).max())
@@ -198,8 +197,8 @@ def solve_iterative(
     if not converged:
         # fixed text: per-call numbers would add a registry entry per call
         warnings.warn(
-            "conjugate-gradient solve stopped unconverged at t_max; see the "
-            "result's final_step and residual_inf",
+            "conjugate-gradient solve stopped unconverged after n iterations; "
+            "see the result's final_step and residual_inf",
             stacklevel=2,
         )
     return PropagationResult(

@@ -13,6 +13,7 @@ Loads always widen to float64; saves at dtype 2 round-trip bit-exactly.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -70,7 +71,7 @@ def load_tensor(path) -> Tensor:
     if any(d == 0 for d in dims):
         raise ValueError(f"{path}: dims must be positive, got {dims}")
     dtype = _NUMPY_DTYPES[dtype_code]
-    count = int(np.prod(dims, dtype=np.int64)) if dims else 1
+    count = math.prod(dims)
     expected = dims_end + count * dtype.itemsize
     if len(blob) != expected:
         raise TruncatedPayload(

@@ -43,9 +43,7 @@ def solved_systems():
                 sink[t] = scores.copy()
 
         start = time.perf_counter()
-        iterative = pp.solve_iterative(
-            graph, source, t_max=200_000, tol=1e-8, on_iterate=record
-        )
+        iterative = pp.solve_iterative(graph, source, tol=1e-8, on_iterate=record)
         elapsed = time.perf_counter() - start
         checkpoints["final"] = iterative.scores
         systems.append((graph, source, iterative, checkpoints, elapsed))

@@ -59,17 +59,32 @@ class TestGraphPropagate:
         rfile = tmp_path / "r.t"
         code = main([
             "propagate", "--graph", str(gfile), "--labels", str(lfile),
-            "--tol", "1e-8", "--tmax", "50000",
+            "--tol", "1e-8",
             "--out", str(rfile),
         ])
         assert code == 0
         captured = capsys.readouterr().out
         assert "iterations:" in captured and "final_step:" in captured
-        expected = pp.solve_iterative(
-            graph, pp.build_source(labels, 40), t_max=50000, tol=1e-8
-        )
+        expected = pp.solve_iterative(graph, pp.build_source(labels, 40), tol=1e-8)
         assert np.array_equal(load_tensor(rfile).data, expected.scores)
         assert f"residual_inf: {expected.residual_inf!r}" in captured
+
+    @pytest.mark.parametrize("index", [1e10, 2.0**63, 1e300])
+    def test_propagate_out_of_range_index_error(self, tmp_path, capsys, index):
+        # the CSR is sized by the largest index: unchecked, 1e10 would ask for 74.5 GiB
+        gfile = tmp_path / "g.t"
+        save_tensor(gfile, np.array([[0, 1, 1.0], [1, index, 1.0]]))
+        lfile = tmp_path / "l.t"
+        save_tensor(lfile, np.eye(2))
+        code = main([
+            "propagate", "--graph", str(gfile), "--labels", str(lfile),
+            "--out", str(tmp_path / "r.t"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: edge index ") and " out of range" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "r.t").exists()
 
     def test_propagate_disconnected_error(self, tmp_path, capsys):
         gfile = tmp_path / "g.t"
@@ -91,11 +106,7 @@ class TestGraphPropagate:
             ["propagate", "--graph", "g.t", "--labels", "l.t", "--out", "r.t"]
         )
         config = pp.EpisodeConfig()
-        assert (graph.k, propagate.tol, propagate.tmax) == (
-            config.knn_k,
-            config.tol,
-            config.t_max,
-        )
+        assert (graph.k, propagate.tol) == (config.knn_k, config.tol)
 
     @pytest.mark.parametrize("tol", ["inf", "nan"])
     def test_propagate_rejects_non_finite_tol(self, tmp_path, capsys, tol):
@@ -269,7 +280,7 @@ class TestManifestErrors:
         [
             ("episode", "knn_k", {"knn_k": "ten"}),
             ("episode", "knn_k", {"knn_k": True}),
-            ("episode", "t_max", {"t_max": 10.0}),
+            ("episode", "knn_k", {"knn_k": 10.0}),
             ("episode", "tol", {"tol": "1e-6"}),
             ("episode", "prediction_mode", {"prediction_mode": 1}),
             ("episode", "sim_weight", {"sim_weight": 5}),
@@ -301,7 +312,7 @@ class TestManifestErrors:
         "config, stage",
         [
             ({"window": [3, 3]}, "support-pooling"),
-            ({"t_max": 0}, "propagation"),
+            ({"tol": 0.0}, "propagation"),
             ({"knn_k": 0}, "graph-build"),
             ({"tol": float("inf")}, "propagation"),
         ],
@@ -344,9 +355,10 @@ class TestManifestErrors:
         assert code == 1
         assert "windows" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["label_threshold", "prediction_threshold"])
+    @pytest.mark.parametrize("key", ["label_threshold", "prediction_threshold", "t_max"])
     def test_threshold_keys_unknown(self, tmp_path, capsys, key):
-        # >= 0.5 is foreground by construction; there is no threshold knob
+        # >= 0.5 is foreground by construction, and the solve's iteration cap
+        # is the vertex count; neither has a knob
         man = tmp_path / "m.json"
         man.write_text(json.dumps({
             "support_features": "s.t",

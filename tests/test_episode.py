@@ -98,7 +98,7 @@ class TestRunEpisode:
         one_hot = np.zeros((len(protos), 2))
         one_hot[np.arange(len(protos)), labels] = 1.0
         source = pp.build_source(one_hot, graph.n)
-        prop = pp.solve_iterative(graph, source, cfg.t_max, cfg.tol)
+        prop = pp.solve_iterative(graph, source, cfg.tol)
         conf = pp.extract_confidence_map(prop, 16, 16)
         proto_vec = pp.masked_average_pool(sup_map, sup_mask)
         sim = pp.similarity_map(ep.query, proto_vec, cfg.sim_params)

@@ -1,4 +1,7 @@
+import re
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -291,6 +294,17 @@ class TestTriplets:
     def test_non_integer_index_rejected(self, bad):
         with pytest.raises(ValueError, match="edge indices must be finite integers"):
             from_triplets([[0, 1, 1.0], [1, bad, 1.0]])
+
+    @pytest.mark.parametrize("index", [4, 1e10, 2.0**63, 1e300])
+    def test_index_beyond_edge_reach_rejected(self, index):
+        # two edges touch at most 4 vertices; the check precedes the int64
+        # cast (which warns past 2**63) and the CSR sized by the index
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"edge index {index:g} out of range")):
+                from_triplets([[0, 1, 1.0], [1, index, 1.0]])
+        assert time.perf_counter() - start < 0.5
 
     @pytest.mark.parametrize("repeat", [[1, 0, 1.0], [0, 1, 1.0]], ids=["reversed", "same"])
     def test_repeated_pair_rejected(self, repeat):

@@ -89,6 +89,14 @@ class TestMalformedFiles:
         with pytest.raises(TruncatedPayload):
             load_tensor(bad)
 
+    def test_element_count_does_not_wrap(self, tmp_path):
+        # 2**31 * 2**31 * 4 is 0 in wrapping int64 arithmetic, the size of no payload
+        path = tmp_path / "wrap.t"
+        dims = b"".join(d.to_bytes(4, "little") for d in (2**31, 2**31, 4))
+        path.write_bytes(MAGIC + bytes([2, 3]) + dims)
+        with pytest.raises(TruncatedPayload, match="payload is 0 bytes"):
+            load_tensor(path)
+
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "hdr.t"
         path.write_bytes(MAGIC + bytes([2, 3]) + (2).to_bytes(4, "little"))
