@@ -7,7 +7,7 @@ the query block becomes a per-pixel confidence map, which is fused with
 prototype similarity and smoothed by spatial consistency calibration.
 """
 
-from .episode import Episode, EpisodeConfig, EpisodeResult, predict_mask, run_episode
+from .episode import Episode, EpisodeConfig, EpisodeResult, run_episode
 from .graph import (
     VertexSet,
     WeightedGraph,
@@ -34,7 +34,7 @@ from .scc import (
     spatial_consistency_calibrate,
 )
 from .synth import SynthSpec, synth_episode
-from .tensor import FeatureMap, SoftMask, Tensor, avg_pool, downsample_mask
+from .tensor import FeatureMap, SoftMask, Tensor, avg_pool, downsample_mask, predict_mask
 from .tensorfile import load_tensor, save_tensor
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from .errors import PoissonPropError
 from .manifest import load_episode_manifest, load_synth_spec
 from .metrics import dsc
 from .synth import synth_episode
-from .tensorfile import DTYPE_U8, load_tensor, save_tensor
+from .tensorfile import DTYPE_F64, DTYPE_U8, load_tensor, save_tensor
 
 DSC_NOTE = "[score convention: 2|A∩B| / (|A|+|B|), higher is better]"
 
@@ -98,23 +98,19 @@ def _cmd_synth(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     support_map, support_mask = ep.support
-    save_tensor(out_dir / "support_features.t", support_map.data)
-    save_tensor(out_dir / "support_mask.t", support_mask.data, DTYPE_U8)
-    aux_names = []
-    for i, aux in enumerate(ep.auxiliary):
-        name = f"aux_{i:03d}.t"
-        save_tensor(out_dir / name, aux.data)
-        aux_names.append(name)
-    save_tensor(out_dir / "query_features.t", ep.query.data)
-    save_tensor(out_dir / "query_mask.t", truth.data, DTYPE_U8)
-    manifest = {
-        "support_features": "support_features.t",
-        "support_mask": "support_mask.t",
-        "auxiliary_features": aux_names,
-        "query_features": "query_features.t",
-        "query_mask": "query_mask.t",
-        "config": {},
+    tensors = {  # manifest key -> (array, dtype code), written to <key>.t
+        "support_features": (support_map.data, DTYPE_F64),
+        "support_mask": (support_mask.data, DTYPE_U8),
+        "query_features": (ep.query.data, DTYPE_F64),
+        "query_mask": (truth.data, DTYPE_U8),
     }
+    aux_names = [f"aux_{i:03d}.t" for i in range(len(ep.auxiliary))]
+    manifest = {key: f"{key}.t" for key in tensors}
+    files = [(manifest[key], *value) for key, value in tensors.items()]
+    files += [(name, aux.data, DTYPE_F64) for name, aux in zip(aux_names, ep.auxiliary)]
+    for name, data, code in files:
+        save_tensor(out_dir / name, data, code)
+    manifest.update(auxiliary_features=aux_names, config={})
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n"
     )
@@ -165,8 +161,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.handler(args)
     except (PoissonPropError, ValueError, OSError) as err:

@@ -20,7 +20,7 @@ from .graph import VertexSet, WeightedGraph, build_weight_graph
 from .metrics import dsc
 from .poisson import ConfidenceMap, LabelSource, PropagationResult
 from .scc import LinearParams, TwoLayerParams
-from .tensor import FeatureMap, SoftMask, downsample_mask
+from .tensor import FeatureMap, SoftMask, downsample_mask, predict_mask
 
 PREDICTION_MODES = ("poisson", "calibrated")
 
@@ -58,23 +58,14 @@ class Episode:
         object.__setattr__(self, "auxiliary", tuple(self.auxiliary))
         sup_map, sup_mask = self.support
         shape = sup_map.data.shape
-        for i, aux in enumerate(self.auxiliary):
-            if aux.data.shape != shape:
-                raise ValueError(
-                    f"auxiliary map {i} shape {aux.data.shape} != support {shape}"
-                )
-        if self.query.data.shape != shape:
-            raise ValueError(
-                f"query shape {self.query.data.shape} != support {shape}"
-            )
-        if sup_mask.data.shape != shape[1:]:
-            raise ValueError(
-                f"support mask {sup_mask.data.shape} != spatial dims {shape[1:]}"
-            )
-        if self.query_mask is not None and self.query_mask.data.shape != shape[1:]:
-            raise ValueError(
-                f"query mask {self.query_mask.data.shape} != spatial dims {shape[1:]}"
-            )
+        maps = {f"auxiliary map {i} shape": aux for i, aux in enumerate(self.auxiliary)}
+        maps["query shape"] = self.query
+        for name, fmap in maps.items():
+            if fmap.data.shape != shape:
+                raise ValueError(f"{name} {fmap.data.shape} != support {shape}")
+        for name, mask in (("support mask", sup_mask), ("query mask", self.query_mask)):
+            if mask is not None and mask.data.shape != shape[1:]:
+                raise ValueError(f"{name} {mask.data.shape} != spatial dims {shape[1:]}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,17 +101,6 @@ class EpisodeResult:
         if self.config.prediction_mode == "poisson":
             return self.dsc_poisson
         return self.dsc_calibrated
-
-
-def predict_mask(values) -> np.ndarray:
-    """Binary foreground mask of one (H, W) score map: a value >= 0.5 is
-    foreground, the two-class argmax with ties going to foreground.
-
-    ``run_episode`` passes the confidence map for "poisson" mode, the
-    channel mean of the calibrated map for "calibrated" mode, and the
-    query mask for the truth it scores against.
-    """
-    return (np.asarray(values) >= 0.5).astype(np.uint8)
 
 
 def _stage(name: str, fn, *args, **kwargs):

@@ -100,8 +100,13 @@ class WeightedGraph:
         if w.nnz and w.data.min() < 0.0:
             raise ValueError("weights must be nonnegative")
         degrees = np.asarray(w.sum(axis=1)).ravel()
-        if np.any(degrees <= 0.0):
-            raise ValueError("every vertex must have positive degree")
+        zero = np.flatnonzero(degrees <= 0.0)
+        if zero.size:
+            shown = ", ".join(map(str, zero[:5])) + (", ..." if zero.size > 5 else "")
+            raise ValueError(
+                f"every vertex must have positive degree; zero degree at index "
+                f"{shown} ({zero.size} of {len(degrees)} vertices)"
+            )
         self.weights = w
         self.degrees = degrees
 

@@ -80,6 +80,15 @@ def _typed(key: str, value, kind: type):
     return value
 
 
+def _check_keys(doc: dict, known: set, kind: str, scalars: dict) -> dict:
+    """Reject the first key of ``doc`` outside ``known``; return the scalar
+    fields (``scalars``: key -> type) that ``doc`` sets, each type-checked."""
+    unknown = set(doc) - known
+    if unknown:
+        raise ManifestError(f"{sorted(unknown)[0]}: unknown {kind} key")
+    return {key: _typed(key, doc[key], t) for key, t in scalars.items() if key in doc}
+
+
 def _load_array(base: Path, key: str, rel, rank: int):
     data = load_tensor(base / _typed(key, rel, str)).data
     if data.ndim != rank:
@@ -113,14 +122,7 @@ def _load_linear(base: Path, cfg: dict, weight_key: str, bias_key: str) -> Linea
 def _parse_config(base: Path, cfg) -> EpisodeConfig:
     if not isinstance(cfg, dict):
         raise ManifestError("config: expected an object")
-    unknown = set(cfg) - _CONFIG_KEYS
-    if unknown:
-        raise ManifestError(f"{sorted(unknown)[0]}: unknown config key")
-    kwargs = {
-        key: _typed(key, cfg[key], kind)
-        for key, kind in _SCALAR_KEYS.items()
-        if key in cfg
-    }
+    kwargs = _check_keys(cfg, _CONFIG_KEYS, "config", _SCALAR_KEYS)
     if "window" in cfg:
         window = cfg["window"]
         if (
@@ -156,9 +158,7 @@ def load_episode_manifest(path) -> Episode:
     """Load an episode manifest and every file it references."""
     path = Path(path)
     doc = _read_json(path)
-    unknown = set(doc) - _MANIFEST_KEYS
-    if unknown:
-        raise ManifestError(f"{sorted(unknown)[0]}: unknown manifest key")
+    _check_keys(doc, _MANIFEST_KEYS, "manifest", {})
     base = path.parent
     config = _parse_config(base, doc.get("config", {}))
     support = _load_feature_map(base, "support_features", _require(doc, "support_features"))
@@ -193,12 +193,7 @@ def load_synth_spec(path) -> SynthSpec:
     for f in spec_fields:
         if f.default is MISSING:
             _require(doc, f.name)
-    unknown = set(doc) - {f.name for f in spec_fields}
-    if unknown:
-        raise ManifestError(f"{sorted(unknown)[0]}: unknown synth key")
-    for key, kind in _scalar_fields(SynthSpec).items():
-        if key in doc:
-            _typed(key, doc[key], kind)
+    _check_keys(doc, {f.name for f in spec_fields}, "synth", _scalar_fields(SynthSpec))
     center = doc["center"]
     if not isinstance(center, list) or len(center) != 2:
         raise ManifestError("center: expected [row, col]")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateMask, GridMismatch
-from .tensor import FeatureMap, SoftMask, avg_pool
+from .tensor import FeatureMap, SoftMask, avg_pool, predict_mask
 
 
 def local_prototype_pool(fmap: FeatureMap, window: tuple[int, int]) -> np.ndarray:
@@ -23,13 +23,14 @@ def local_prototype_pool(fmap: FeatureMap, window: tuple[int, int]) -> np.ndarra
 
 
 def assign_prototype_labels(grid_mask: SoftMask) -> np.ndarray:
-    """Class index of every grid cell, row-major: 1 (foreground) iff the
-    mask cell is >= 0.5 (its window's majority, ties foreground), else 0.
+    """Class index of every grid cell, row-major: 1 (foreground) where
+    ``predict_mask`` marks the mask cell (its window's majority, ties
+    foreground), else 0.
 
     The mask must already be at pooled-grid resolution (one cell per
     prototype). Only support prototypes are labeled this way.
     """
-    return (grid_mask.data >= 0.5).astype(np.int64).ravel()
+    return predict_mask(grid_mask.data).astype(np.int64).ravel()
 
 
 def masked_average_pool(fmap: FeatureMap, mask: SoftMask) -> np.ndarray:

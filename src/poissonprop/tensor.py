@@ -1,4 +1,5 @@
-"""Dense tensor containers, pooling, and the zero-norm row normalization.
+"""Dense tensor containers, pooling, the zero-norm row normalization and
+the foreground rule.
 
 All containers hold float64 data internally; 32-bit file inputs are
 widened at load time so long iterative runs do not accumulate
@@ -120,3 +121,12 @@ def downsample_mask(mask: SoftMask, window: tuple[int, int]) -> SoftMask:
     rounded once.
     """
     return SoftMask(avg_pool(FeatureMap(mask.data[None]), window).data[0])
+
+
+def predict_mask(values) -> np.ndarray:
+    """Binary foreground mask of a score map, the library's one foreground
+    rule: a value >= 0.5 is foreground (the two-class argmax, ties going to
+    foreground). The support labels, both predicted masks and the truth an
+    episode is scored against all come from it.
+    """
+    return (np.asarray(values) >= 0.5).astype(np.uint8)

@@ -48,7 +48,11 @@ def save_tensor(path, tensor, dtype_code: int = DTYPE_F64) -> None:
             raise ValueError("uint8 save requires integral values in [0, 255]")
         payload = rounded.astype("u1").tobytes(order="C")
     else:
-        payload = data.astype(_NUMPY_DTYPES[dtype_code]).tobytes(order="C")
+        with np.errstate(over="ignore"):
+            narrowed = data.astype(_NUMPY_DTYPES[dtype_code])
+        if not np.all(np.isfinite(narrowed)):
+            raise ValueError("float32 save requires values within the float32 range")
+        payload = narrowed.tobytes(order="C")
     rank = data.ndim
     header = MAGIC + struct.pack("<BB", dtype_code, rank)
     header += struct.pack(f"<{rank}I", *data.shape)

@@ -8,7 +8,7 @@ from _util import two_blob_spec
 from poissonprop import load_tensor, save_tensor
 from poissonprop.cli import _build_parser, main
 from poissonprop.errors import ManifestError
-from poissonprop.manifest import load_synth_spec
+from poissonprop.manifest import load_episode_manifest, load_synth_spec
 from poissonprop.tensorfile import DTYPE_U8
 
 SPEC_DOC = {
@@ -98,6 +98,21 @@ class TestGraphPropagate:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: DisconnectedGraph:")
+
+    def test_propagate_names_zero_degree_vertex(self, tmp_path, capsys):
+        gfile = tmp_path / "g.t"
+        save_tensor(gfile, np.array([[0, 1, 1.0], [1, 3, 1.0]]))
+        lfile = tmp_path / "l.t"
+        save_tensor(lfile, np.eye(2))
+        code = main([
+            "propagate", "--graph", str(gfile), "--labels", str(lfile),
+            "--out", str(tmp_path / "r.t"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: ValueError: every vertex must have positive degree; "
+            "zero degree at index 2 (1 of 4 vertices)\n"
+        )
 
     def test_defaults_are_episode_config_defaults(self):
         parser = _build_parser()
@@ -192,6 +207,22 @@ class TestSynthAndEpisode:
         res = pp.run_episode(ep)
         assert np.array_equal(load_tensor(out_dir / "confidence.t").data, res.confidence.values)
         assert np.array_equal(load_tensor(out_dir / "predicted_mask.t").data, res.mask_poisson)
+
+    def test_synth_directory_loads_back_exactly(self, tmp_path):
+        spec_path = write_spec(tmp_path, seed=5)
+        main(["synth", "--spec", str(spec_path), "--out-dir", str(tmp_path / "ep")])
+        back = load_episode_manifest(tmp_path / "ep" / "manifest.json")
+        ep, truth = pp.synth_episode(load_synth_spec(spec_path))
+        assert len(back.auxiliary) == len(ep.auxiliary) == 3
+        pairs = [
+            (back.support[0], ep.support[0]),
+            (back.support[1], ep.support[1]),
+            *zip(back.auxiliary, ep.auxiliary),
+            (back.query, ep.query),
+            (back.query_mask, truth),
+        ]
+        for loaded, made in pairs:
+            assert np.array_equal(loaded.data, made.data)
 
 
 GOLDEN_SPEC_JSON = """{

@@ -10,6 +10,8 @@ from poissonprop import Episode, EpisodeConfig, predict_mask, run_episode, to_tr
 from poissonprop.errors import DegenerateMask, DisconnectedGraph
 from poissonprop.tensor import FeatureMap, SoftMask
 
+_FMAP, _MASK = FeatureMap(np.zeros((2, 4, 4))), SoftMask(np.zeros((4, 4)))
+
 
 @functools.cache
 def _same_sign_results():
@@ -58,6 +60,21 @@ class TestEpisodeValidation:
                 auxiliary=(),
                 query=FeatureMap(np.zeros((2, 4, 4))),
             )
+
+    @pytest.mark.parametrize("part, value, message", [
+        ("auxiliary", (_FMAP, FeatureMap(np.zeros((2, 4, 8)))),
+         "auxiliary map 1 shape (2, 4, 8) != support (2, 4, 4)"),
+        ("query", FeatureMap(np.zeros((3, 4, 4))), "query shape (3, 4, 4) != support (2, 4, 4)"),
+        ("support", (_FMAP, SoftMask(np.zeros((2, 2)))),
+         "support mask (2, 2) != spatial dims (4, 4)"),
+        ("query_mask", SoftMask(np.zeros((4, 5))), "query mask (4, 5) != spatial dims (4, 4)"),
+    ], ids=["auxiliary", "query", "support-mask", "query-mask"])
+    def test_mismatch_message_names_part(self, part, value, message):
+        parts = {"support": (_FMAP, _MASK), "auxiliary": (_FMAP, _FMAP), "query": _FMAP,
+                 "query_mask": _MASK}
+        with pytest.raises(ValueError) as err:
+            Episode(**{**parts, part: value})
+        assert str(err.value) == message
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -333,6 +333,23 @@ class TestWeightedGraph:
         with pytest.raises(ValueError, match="weights must be finite"):
             WeightedGraph(np.array([[0.0, bad], [bad, 0.0]]))
 
+    def test_zero_degree_vertex_named(self):
+        # vertex 2 appears in no edge, but the largest index makes it a vertex
+        message = "every vertex must have positive degree; zero degree at index 2 (1 of 4 vertices)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            from_triplets([[0, 1, 1.0], [1, 3, 1.0]])
+        w = np.zeros((3, 3))
+        w[0, 1] = w[1, 0] = 1.0
+        with pytest.raises(ValueError, match=re.escape("zero degree at index 2 (1 of 3 vertices)")):
+            WeightedGraph(w)
+
+    def test_zero_degree_count_with_first_five(self):
+        w = np.zeros((10, 10))
+        w[0, 9] = w[9, 0] = 1.0
+        message = "zero degree at index 1, 2, 3, 4, 5, ... (8 of 10 vertices)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            WeightedGraph(w)
+
 
 class TestVertexSet:
     def test_block_counts_checked(self):

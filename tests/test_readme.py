@@ -1,5 +1,6 @@
 """The README's knob lists match the code, so a removed knob cannot linger."""
 
+import argparse
 import ast
 import json
 import re
@@ -7,6 +8,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from poissonprop import EpisodeConfig
+from poissonprop.cli import _PARSER
 from poissonprop.manifest import _CONFIG_KEYS, _SCALAR_KEYS
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -26,3 +28,22 @@ def test_defaults_sentence_names_every_knob_with_its_default():
     for knob, text in named.items():
         assert knob in defaults, f"README names a removed knob {knob!r}"
         assert ast.literal_eval(text) == defaults[knob], knob
+
+
+def test_cli_block_flags_match_parser():
+    section = README.split("## CLI\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
+    documented = {
+        (sub, flag)
+        for sub, rest in re.findall(r"^poissonprop (\w+)(.*)$", block, re.M)
+        for flag in re.findall(r"(--[\w-]+)", rest.split("#")[0])
+    }
+    subparsers = next(a for a in _PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {
+        (sub, flag)
+        for sub, parser in subparsers.choices.items()
+        for action in parser._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+    }
+    assert documented == parsed

@@ -25,6 +25,14 @@ class TestRoundTrip:
         assert back.data.dtype == np.float64
         assert np.array_equal(back.data, data)  # representable exactly in f32
 
+    def test_float32_overflow_rejected_before_writing(self, tmp_path):
+        # the cast would give inf, which a load rejects; the suite turns
+        # numpy's overflow RuntimeWarning into an error, so none may be raised
+        path = tmp_path / "t.t"
+        with pytest.raises(ValueError, match="float32 save requires values within the float32 range"):
+            save_tensor(path, [[1e300, 1.0]], DTYPE_F32)
+        assert not path.exists()
+
     def test_uint8_round_trip(self, tmp_path):
         data = np.array([[0.0, 1.0], [255.0, 7.0]])
         path = tmp_path / "t.t"
