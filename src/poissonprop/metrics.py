@@ -30,8 +30,8 @@ def dice_loss(pred, target, eps: float = 1e-6) -> float:
 
     ``eps`` keeps the empty-vs-empty case finite (returning 0).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     x = _soft(pred, "pred")
     y = _soft(target, "target")
     if x.shape != y.shape:

@@ -4,10 +4,10 @@ The labeled block injects a zero-sum source (each one-hot label minus
 the label mean); propagation solves L R = source^T for the unnormalized
 Laplacian L = D - W. The paper's update is the Jacobi fixed point
 ``R <- R + D^{-1} (source^T - L R)``; ``solve_iterative`` solves the
-same system by Jacobi-preconditioned conjugate gradients from R = 0,
-capped at n iterations for n vertices: in exact arithmetic CG ends within
-n steps (Hestenes and Stiefel, 1952). Every iterate keeps the
-degree-weighted zero-sum constraint sum_i d_i R[i, :] = 0
+same system by Jacobi-preconditioned conjugate gradients from R = 0, one
+class per contiguous row, capped at n iterations for n vertices: in exact
+arithmetic CG ends within n steps (Hestenes and Stiefel, 1952). Every
+iterate keeps the degree-weighted zero-sum constraint sum_i d_i R[i, :] = 0
 (1^T L = 0, 1^T source = 0 and d^T D^{-1} r = 1^T r), which pins down
 the solution despite L's constant nullspace.
 """
@@ -21,7 +21,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .errors import DimensionMismatch, DisconnectedGraph, NoLabels, ShapeMismatch
-from .graph import WeightedGraph, component_count, laplacian_apply
+from .graph import WeightedGraph, component_count
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,38 +149,41 @@ def solve_iterative(
 ) -> PropagationResult:
     """Jacobi-preconditioned conjugate gradients on L R = source^T from R = 0.
 
-    All k columns advance together, each with its own step sizes. Stops
-    when the true residual satisfies
+    All k classes advance together as the contiguous rows of (k, n)
+    arrays, each with its own step sizes; the (n, k) ``scores`` are one
+    transpose made on return. Stops when the true residual satisfies
     ``max|source^T - L R| <= tol * max|source|`` (converged=True) or after
     ``graph.n`` iterations (converged=False, with a UserWarning; the last
     step and the true residual are on the result). ``final_step`` is the
     max-norm of the last update. A zero source column, such as a class
     with no label, stays exactly zero.
-    ``on_iterate(t, scores)`` is called after each update when given;
-    it must not mutate its argument.
+    ``on_iterate(t, scores)`` gets the (n, k) scores after each update
+    when given; it must not mutate its argument.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     _check_system(graph, source)
-    inv_deg = 1.0 / graph.degrees[:, None]
-    rhs = source.values.T  # (n, k)
+    inv_deg = 1.0 / graph.degrees
+    def laplacian_rows(x):  # L x[c] for each class row c: one sparse product each
+        return graph.degrees * x - np.stack([graph.weights @ row for row in x])
+    rhs = source.values  # (k, n): each class a contiguous row
     residual_inf = float(np.abs(rhs).max())  # at R = 0
     bound = tol * residual_inf
     scores = np.zeros(rhs.shape, dtype=np.float64)
     resid = rhs
     direction = np.zeros(rhs.shape, dtype=np.float64)
-    rz = np.zeros(rhs.shape[1])
+    rz = np.zeros((rhs.shape[0], 1))
     step = 0.0
     t = 0
     # elementwise sums, no dense product: scores stay bit-identical across BLAS builds
     while residual_inf > bound and t < graph.n:
         z = inv_deg * resid
-        rz_next = np.sum(resid * z, axis=0)
+        rz_next = np.sum(resid * z, axis=1, keepdims=True)
         beta = np.divide(rz_next, rz, out=np.zeros_like(rz), where=rz > 0)
         direction = z + beta * direction
         rz = rz_next
-        lp = laplacian_apply(graph, direction)
-        curv = np.sum(direction * lp, axis=0)
+        lp = laplacian_rows(direction)
+        curv = np.sum(direction * lp, axis=1, keepdims=True)
         alpha = np.divide(rz, curv, out=np.zeros_like(rz), where=curv > 0)
         update = alpha * direction
         scores = scores + update
@@ -188,10 +191,10 @@ def solve_iterative(
         t += 1
         step = float(np.abs(update).max())
         if on_iterate is not None:
-            on_iterate(t, scores)
+            on_iterate(t, scores.T)
         if np.abs(resid).max() <= bound or t == graph.n:
             # the recurrence drifts from the true residual; confirm on it
-            resid = rhs - laplacian_apply(graph, scores)
+            resid = rhs - laplacian_rows(scores)
             residual_inf = float(np.abs(resid).max())
     converged = residual_inf <= bound
     if not converged:
@@ -202,7 +205,7 @@ def solve_iterative(
             stacklevel=2,
         )
     return PropagationResult(
-        scores=scores,
+        scores=np.ascontiguousarray(scores.T),
         iterations=t,
         final_step=step,
         converged=converged,

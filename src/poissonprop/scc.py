@@ -122,7 +122,9 @@ def spatial_consistency_calibrate(
     Each output pixel i is the mean over every pixel j (including
     j = i) of max(cos(v_i, v_j), 0) times the transformed v_j. Pixels
     with near-zero norm take similarity 0 to everything. The transform
-    defaults to identity.
+    defaults to identity. A one-channel map's cosines are -1, 0 or 1, so
+    each of its pixels averages over its own sign class: O(HW) time and
+    memory. Wider maps take O(HW^2 C) time in blocks of 64 rows.
     """
     c, h, w = fused.data.shape
     pixels = fused.pixel_vectors()  # (HW, C)
@@ -133,10 +135,15 @@ def spatial_consistency_calibrate(
     unit = _unit_rows(pixels)
     target = pixels if transform is None else transform.apply(pixels)
     n_px, c_out = target.shape
-    out = np.empty((n_px, c_out), dtype=np.float64)
-    # row blocks keep the similarity table at O(block * HW)
-    for lo in range(0, n_px, _BLOCK_ROWS):
-        sims = unit[lo : lo + _BLOCK_ROWS] @ unit.T
-        np.maximum(sims, 0.0, out=sims)
-        out[lo : lo + _BLOCK_ROWS] = sims @ target / n_px
+    if c == 1:  # max(cos, 0) is 1 within a sign class and 0 across
+        out = np.zeros((n_px, c_out), dtype=np.float64)
+        for members in (unit[:, 0] == -1.0, unit[:, 0] == 1.0):
+            out[members] = target[members].sum(axis=0) / n_px
+    else:
+        out = np.empty((n_px, c_out), dtype=np.float64)
+        # row blocks keep the similarity table at O(block * HW)
+        for lo in range(0, n_px, _BLOCK_ROWS):
+            sims = unit[lo : lo + _BLOCK_ROWS] @ unit.T
+            np.maximum(sims, 0.0, out=sims)
+            out[lo : lo + _BLOCK_ROWS] = sims @ target / n_px
     return FeatureMap(out.T.reshape(c_out, h, w))

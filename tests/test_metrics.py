@@ -37,6 +37,12 @@ class TestDiceLoss:
         with pytest.raises(ValueError):
             dice_loss(FULL, FULL, 0.0)
 
+    @pytest.mark.parametrize("pred, eps", [(FULL, np.nan), (np.zeros_like(FULL), np.inf)])
+    def test_non_finite_eps_rejected(self, pred, eps):
+        # a NaN or infinite eps would return NaN rather than a loss
+        with pytest.raises(ValueError, match="positive and finite"):
+            dice_loss(pred, FULL, eps)
+
     def test_range(self):
         rng = np.random.default_rng(50)
         for _ in range(25):

@@ -313,6 +313,21 @@ class TestIterative:
             assert res.residual_inf == np.abs(residual).max()
         assert solved.converged and solved.residual_inf < 1e-8
 
+    def test_callers_see_vertex_major_arrays(self):
+        # the solve runs on (k, n) arrays; on_iterate and the result still get
+        # (n, k), and no later update reaches an array already handed out
+        graph, source = random_connected_system(1)
+        seen = []
+        res = solve_iterative(
+            graph, source, on_iterate=lambda t, s: seen.append((s, s.copy()))
+        )
+        assert len(seen) == res.iterations > 1
+        for iterate, at_call in seen:
+            assert iterate.shape == (graph.n, source.k)
+            assert np.array_equal(iterate, at_call)
+        assert res.scores.shape == (graph.n, source.k) and res.scores.flags.c_contiguous
+        assert np.array_equal(res.scores, seen[-1][1])
+
     def test_class_swap_negates_solution(self):
         graph, _ = random_connected_system(5)
         n = graph.n

@@ -2,6 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from poissonprop import (
     ConfidenceMap,
@@ -57,6 +60,12 @@ def _reference_maps():
 
 
 REFERENCE_MAPS = _reference_maps()
+
+_AT_THRESHOLD = (np.nextafter(ZERO_NORM_EPS, 0.0), ZERO_NORM_EPS, np.nextafter(ZERO_NORM_EPS, 1.0))
+_ONE_CHANNEL_VALUES = st.one_of(
+    st.sampled_from([0.0, *_AT_THRESHOLD, *(-v for v in _AT_THRESHOLD)]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
 
 
 class TestSimilarityMap:
@@ -240,6 +249,33 @@ class TestCalibration:
         got = spatial_consistency_calibrate(FeatureMap(data), transform).data
         want = _reference_calibrate(FeatureMap(data), transform)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    @given(
+        st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(
+            lambda hw: arrays(np.float64, (1, *hw), elements=_ONE_CHANNEL_VALUES)
+        ),
+        st.sampled_from([None, 1.0, -1.0]),
+        st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_channel_matches_reference(self, data, one_sign, head_seed):
+        # one channel takes the sign-class closed form, the reference the pairwise sum
+        if one_sign is not None:
+            data = one_sign * np.abs(data)  # every nonzero pixel of one sign
+        transform = None
+        if head_seed is not None:
+            rng = np.random.default_rng(head_seed)
+            transform = TwoLayerParams(
+                LinearParams(rng.standard_normal((4, 1)), rng.standard_normal(4)),
+                LinearParams(rng.standard_normal((3, 4)), rng.standard_normal(3)),
+            )
+        fused = FeatureMap(data)
+        got = spatial_consistency_calibrate(fused, transform).data
+        want = _reference_calibrate(fused, transform)
+        pixels = fused.pixel_vectors()
+        target = pixels if transform is None else transform.apply(pixels)
+        # relative to the largest summand: a sign class's sum may cancel to 0
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(target).max())
 
     def test_memory_is_linear_in_pixels(self):
         # a full HW x HW float64 table alone would be 128 MB here
