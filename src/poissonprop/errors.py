@@ -9,17 +9,11 @@ class PoissonPropError(Exception):
     """Base class for all library errors."""
 
 
-# --- tensor / pooling ---
-
-class WindowTooLarge(PoissonPropError):
-    """Pooling window exceeds the spatial extent of the input."""
+class ShapeMismatch(PoissonPropError):
+    """Array shapes that must agree do not (maps, masks, vectors, systems)."""
 
 
 # --- prototypes ---
-
-class GridMismatch(PoissonPropError):
-    """Mask resolution does not match the pooled prototype grid."""
-
 
 class DegenerateMask(PoissonPropError):
     """Mask with zero total weight (empty foreground)."""
@@ -31,10 +25,6 @@ class KTooLarge(PoissonPropError):
     """Requested more nearest neighbors than other points exist."""
 
 
-class DimensionMismatch(PoissonPropError):
-    """Array dimensions incompatible with the operation."""
-
-
 # --- propagation ---
 
 class NoLabels(PoissonPropError):
@@ -43,10 +33,6 @@ class NoLabels(PoissonPropError):
 
 class DisconnectedGraph(PoissonPropError):
     """The propagation graph has more than one connected component."""
-
-
-class ShapeMismatch(PoissonPropError):
-    """Map or matrix shape incompatible with the operation."""
 
 
 # --- file formats ---

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import DimensionMismatch, KTooLarge
+from .errors import KTooLarge, ShapeMismatch
 
 DISTANCE_FLOOR = 1e-12
 _BLOCK_ROWS = 64
@@ -212,13 +212,13 @@ def build_weight_graph(points, k_neighbors: int) -> WeightedGraph:
 
 
 def laplacian_apply(graph: WeightedGraph, x: np.ndarray) -> np.ndarray:
-    """(D - W) @ x without materializing the Laplacian densely."""
+    """(D - W) @ x for an (n, k) ``x``, one sparse product per column, without
+    forming D - W. For a C-contiguous (k, n) ``r``, as the class-major solve
+    holds, ``laplacian_apply(graph, r.T).T`` is C-contiguous too."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != graph.n:
-        raise DimensionMismatch(
-            f"expected ({graph.n}, k) input, got {x.shape}"
-        )
-    return graph.degrees[:, None] * x - graph.weights @ x
+        raise ShapeMismatch(f"expected ({graph.n}, k) input, got {x.shape}")
+    return graph.degrees[:, None] * x - np.stack([graph.weights @ col for col in x.T]).T
 
 
 def component_count(graph: WeightedGraph) -> int:

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import ShapeMismatch
+from .tensor import _as_float64
 
 
 def _soft(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+    arr = _as_float64(values, name)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be a 2-D mask")
     return arr
@@ -35,7 +36,7 @@ def dice_loss(pred, target, eps: float = 1e-6) -> float:
     x = _soft(pred, "pred")
     y = _soft(target, "target")
     if x.shape != y.shape:
-        raise DimensionMismatch(f"mask dims differ: {x.shape} vs {y.shape}")
+        raise ShapeMismatch(f"mask dims differ: {x.shape} vs {y.shape}")
     intersection = float((x * y).sum())
     cardinality = float(x.sum() + y.sum())
     return 1.0 - (2.0 * intersection + eps) / (cardinality + eps)
@@ -49,7 +50,7 @@ def dsc(pred, target) -> float:
     a = _binary(pred, "pred")
     b = _binary(target, "target")
     if a.shape != b.shape:
-        raise DimensionMismatch(f"mask dims differ: {a.shape} vs {b.shape}")
+        raise ShapeMismatch(f"mask dims differ: {a.shape} vs {b.shape}")
     cardinality = float(a.sum() + b.sum())
     if cardinality == 0.0:
         return 1.0

@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .errors import DimensionMismatch, DisconnectedGraph, NoLabels, ShapeMismatch
-from .graph import WeightedGraph, component_count
+from .errors import DisconnectedGraph, NoLabels, ShapeMismatch
+from .graph import WeightedGraph, component_count, laplacian_apply
+from .tensor import _unit_interval
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,12 +86,7 @@ class ConfidenceMap:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=np.float64)
-        if vals.ndim != 2:
-            raise ValueError("confidence map must be rank 2 (H, W)")
-        if not np.all((vals >= 0.0) & (vals <= 1.0)):  # NaN fails too
-            raise ValueError("confidence values must lie in [0, 1]")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _unit_interval(self.values, "confidence map"))
 
 
 def build_source(one_hot_labels, n: int) -> LabelSource:
@@ -119,9 +115,7 @@ def build_source(one_hot_labels, n: int) -> LabelSource:
 
 def _check_system(graph: WeightedGraph, source: LabelSource) -> None:
     if source.n != graph.n:
-        raise DimensionMismatch(
-            f"source has {source.n} columns but graph has {graph.n} vertices"
-        )
+        raise ShapeMismatch(f"source has {source.n} columns but graph has {graph.n} vertices")
     pieces = component_count(graph)
     if pieces != 1:
         raise DisconnectedGraph(
@@ -164,8 +158,6 @@ def solve_iterative(
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     _check_system(graph, source)
     inv_deg = 1.0 / graph.degrees
-    def laplacian_rows(x):  # L x[c] for each class row c: one sparse product each
-        return graph.degrees * x - np.stack([graph.weights @ row for row in x])
     rhs = source.values  # (k, n): each class a contiguous row
     residual_inf = float(np.abs(rhs).max())  # at R = 0
     bound = tol * residual_inf
@@ -182,7 +174,7 @@ def solve_iterative(
         beta = np.divide(rz_next, rz, out=np.zeros_like(rz), where=rz > 0)
         direction = z + beta * direction
         rz = rz_next
-        lp = laplacian_rows(direction)
+        lp = laplacian_apply(graph, direction.T).T
         curv = np.sum(direction * lp, axis=1, keepdims=True)
         alpha = np.divide(rz, curv, out=np.zeros_like(rz), where=curv > 0)
         update = alpha * direction
@@ -194,7 +186,7 @@ def solve_iterative(
             on_iterate(t, scores.T)
         if np.abs(resid).max() <= bound or t == graph.n:
             # the recurrence drifts from the true residual; confirm on it
-            resid = rhs - laplacian_rows(scores)
+            resid = rhs - laplacian_apply(graph, scores.T).T
             residual_inf = float(np.abs(resid).max())
     converged = residual_inf <= bound
     if not converged:

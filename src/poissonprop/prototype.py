@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateMask, GridMismatch
+from .errors import DegenerateMask, ShapeMismatch
 from .tensor import FeatureMap, SoftMask, avg_pool, predict_mask
 
 
@@ -40,9 +40,7 @@ def masked_average_pool(fmap: FeatureMap, mask: SoftMask) -> np.ndarray:
     empty-foreground support slice).
     """
     if mask.data.shape != (fmap.height, fmap.width):
-        raise GridMismatch(
-            f"mask dims {mask.data.shape} != map dims {(fmap.height, fmap.width)}"
-        )
+        raise ShapeMismatch(f"mask dims {mask.data.shape} != map dims {(fmap.height, fmap.width)}")
     total = float(mask.data.sum())
     if total <= 0.0:
         raise DegenerateMask("mask sums to zero; no pixels to pool")

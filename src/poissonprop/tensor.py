@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import WindowTooLarge
-
 ZERO_NORM_EPS = 1e-12
 
 
@@ -25,6 +23,18 @@ def _as_float64(values, name: str) -> np.ndarray:
         raise ValueError(f"{name} dims must be positive, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains NaN or Inf")
+    return arr
+
+
+def _unit_interval(values, name: str) -> np.ndarray:
+    """``values`` as a non-empty (H, W) contiguous float64 array of values in [0, 1]."""
+    arr = np.ascontiguousarray(values, dtype=np.float64)
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValueError(
+            f"{name} must be rank 2 (H,W) and its dims must be positive, got shape {arr.shape}"
+        )
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails too
+        raise ValueError(f"{name} values must lie in [0, 1]")
     return arr
 
 
@@ -75,26 +85,19 @@ class SoftMask:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = _as_float64(self.data, "mask")
-        if arr.ndim != 2:
-            raise ValueError(f"mask must be rank 2 (H,W), got rank {arr.ndim}")
-        if arr.min() < 0.0 or arr.max() > 1.0:
-            raise ValueError("mask values must lie in [0, 1]")
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _unit_interval(self.data, "mask"))
 
 
 def avg_pool(fmap: FeatureMap, window: tuple[int, int]) -> FeatureMap:
     """Channel-wise average pooling over a non-overlapping tiling.
 
-    Windows must tile the spatial extent exactly; partial windows are
-    rejected.
+    Windows must tile the spatial extent exactly; partial windows, and
+    so windows larger than the map, are a ``ValueError``.
     """
     wh, ww = window
     h, w = fmap.data.shape[1:]
     if wh < 1 or ww < 1:
         raise ValueError("window must be positive")
-    if wh > h or ww > w:
-        raise WindowTooLarge(f"window {window} exceeds spatial extent {(h, w)}")
     if h % wh or w % ww:
         raise ValueError(f"window {window} does not tile extent {(h, w)}")
     # the contiguous copy gives each window's mean the loop-over-windows

@@ -83,4 +83,7 @@ def load_tensor(path) -> Tensor:
             f"expected {expected - dims_end}"
         )
     flat = np.frombuffer(blob, dtype=dtype, count=count, offset=dims_end)
-    return Tensor(flat.astype(np.float64).reshape(dims))
+    try:
+        return Tensor(flat.astype(np.float64).reshape(dims))
+    except ValueError as err:  # a non-finite payload
+        raise ValueError(f"{path}: {err}") from err

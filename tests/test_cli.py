@@ -9,7 +9,7 @@ from poissonprop import load_tensor, save_tensor
 from poissonprop.cli import _build_parser, main
 from poissonprop.errors import ManifestError
 from poissonprop.manifest import load_episode_manifest, load_synth_spec
-from poissonprop.tensorfile import DTYPE_U8
+from poissonprop.tensorfile import DTYPE_F32, DTYPE_F64, DTYPE_U8, MAGIC
 
 SPEC_DOC = {
     "channels": 8,
@@ -162,6 +162,39 @@ class TestDice:
         code = main(["dice", "--pred", str(tmp_path / "x.t"), "--gt", str(tmp_path / "y.t")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestNonFinitePayload:
+    """A NaN or Inf payload names its file, as every other load error does."""
+
+    def test_episode_names_nan_auxiliary_file(self, tmp_path, capsys):
+        synth_dir = tmp_path / "ep"
+        spec = write_spec(tmp_path)
+        assert main(["synth", "--spec", str(spec), "--out-dir", str(synth_dir)]) == 0
+        bad = synth_dir / "aux_001.t"
+        data = load_tensor(bad).data
+        data[0, 3, 5] = np.nan
+        dims = b"".join(d.to_bytes(4, "little") for d in data.shape)
+        bad.write_bytes(MAGIC + bytes([DTYPE_F64, data.ndim]) + dims + data.tobytes())
+        capsys.readouterr()
+        code = main(["episode", "--manifest", str(synth_dir / "manifest.json"),
+                     "--out-dir", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: ValueError: {bad}: tensor data contains NaN or Inf\n"
+        )
+
+    def test_dice_names_inf_float32_file(self, tmp_path, capsys):
+        gt = tmp_path / "gt.t"
+        save_tensor(gt, np.ones((2, 2)), DTYPE_U8)
+        pred = tmp_path / "pred.t"
+        payload = np.array([[1.0, np.inf], [0.0, 1.0]], dtype="<f4").tobytes()
+        dims = (2).to_bytes(4, "little") * 2
+        pred.write_bytes(MAGIC + bytes([DTYPE_F32, 2]) + dims + payload)
+        assert main(["dice", "--pred", str(pred), "--gt", str(gt)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: ValueError: {pred}: tensor data contains NaN or Inf\n"
+        )
 
 
 class TestSynthAndEpisode:

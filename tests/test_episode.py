@@ -220,6 +220,37 @@ class TestRunEpisode:
         scores = [res.dsc_poisson for res in _same_sign_results()]
         assert min(scores) >= 0.85, scores
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="poisson mode over-predicts a small foreground: the mask is u_fg >= 0 "
+        "and the solution has degree-weighted mean 0, so with 5 % foreground 0 sits "
+        "near the background's level (median dsc 0.496, predicted area 3.02x the true)",
+    )
+    def test_poisson_mode_small_foreground(self):
+        # support from one draw; auxiliary maps, query and truth from another, so
+        # no rule can lean on the support and query sharing one geometry draw
+        side, fraction, separation = 32, 0.05, 4.0
+
+        def draw(seed):
+            return pp.synth_episode(pp.SynthSpec(
+                channels=8, height=side, width=side,
+                fg_mean=0.6 * separation * UNIT8, bg_mean=-0.4 * separation * UNIT8,
+                noise_scale=1.0, shape="disk", center=(0.484 * side, 0.528 * side),
+                size=float(np.sqrt(fraction * side * side / np.pi)),
+                seed=seed, n_auxiliary=3,
+            ))
+
+        scores, areas = [], []
+        for seed in range(8):
+            support, _ = draw(seed)
+            query, truth = draw(seed + 1000)
+            res = run_episode(dataclasses.replace(query, support=support.support))
+            scores.append(res.dsc_poisson)
+            areas.append(res.mask_poisson.sum() / truth.data.sum())
+        assert np.median(scores) >= 0.8, scores
+        assert np.median(areas) <= 1.5, areas
+
     def test_mode_selects_mask(self):
         ep, _ = pp.synth_episode(two_blob_spec(8))
         res_p = run_episode(ep)

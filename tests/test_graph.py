@@ -15,7 +15,7 @@ from poissonprop import (
     laplacian_apply,
     to_triplets,
 )
-from poissonprop.errors import DimensionMismatch, KTooLarge
+from poissonprop.errors import KTooLarge, ShapeMismatch
 from poissonprop.graph import DISTANCE_FLOOR, WeightedGraph, _knn, component_count
 
 LINE = np.array([[0.0], [1.0], [3.0]])
@@ -253,7 +253,7 @@ class TestLaplacianApply:
 
     def test_dimension_mismatch(self):
         g = from_triplets([[0, 1, 1.0]])
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch):
             laplacian_apply(g, np.zeros((3, 2)))
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from poissonprop import dice_loss, dsc
-from poissonprop.errors import DimensionMismatch
+from poissonprop.errors import ShapeMismatch
 
 FULL = np.ones((3, 3))
 EMPTY = np.zeros((3, 3))
@@ -30,7 +30,7 @@ class TestDiceLoss:
         assert dice_loss(x, y, 1e-12) == pytest.approx(1.0 - 4.0 / 6.0, abs=1e-9)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch):
             dice_loss(np.ones((2, 2)), np.ones((3, 3)))
 
     def test_eps_positive(self):
@@ -42,6 +42,19 @@ class TestDiceLoss:
         # a NaN or infinite eps would return NaN rather than a loss
         with pytest.raises(ValueError, match="positive and finite"):
             dice_loss(pred, FULL, eps)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["pred", "target"])
+    def test_non_finite_masks_rejected(self, bad, side):
+        # a NaN or infinite entry used to come back as a NaN loss
+        masks = {"pred": FULL.copy(), "target": FULL.copy()}
+        masks[side][0, 0] = bad
+        with pytest.raises(ValueError, match=f"{side} contains NaN or Inf"):
+            dice_loss(masks["pred"], masks["target"])
+
+    def test_empty_masks_rejected(self):
+        with pytest.raises(ValueError, match="dims must be positive"):
+            dice_loss(np.zeros((0, 2)), np.zeros((0, 2)))
 
     def test_range(self):
         rng = np.random.default_rng(50)
@@ -83,7 +96,7 @@ class TestDsc:
             dsc(np.full((2, 2), 0.5), np.ones((2, 2)))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch):
             dsc(np.ones((2, 2)), np.ones((2, 3)))
 
     def test_loss_consistency_at_tiny_eps(self):

@@ -28,12 +28,7 @@ from poissonprop import (
     solve_iterative,
     synth_episode,
 )
-from poissonprop.errors import (
-    DimensionMismatch,
-    DisconnectedGraph,
-    NoLabels,
-    ShapeMismatch,
-)
+from poissonprop.errors import DisconnectedGraph, NoLabels, ShapeMismatch
 from poissonprop.poisson import ConfidenceMap, LabelSource
 
 K2 = from_triplets([[0, 1, 1.0]])
@@ -264,7 +259,7 @@ class TestIterative:
 
     def test_source_size_mismatch(self):
         src = build_source(np.eye(2), 3)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch):
             solve_iterative(K2, src)
 
     def test_matches_direct_oracle(self):

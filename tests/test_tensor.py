@@ -3,7 +3,7 @@ import pytest
 
 from _util import cosine
 from poissonprop import FeatureMap, SoftMask, Tensor, avg_pool, downsample_mask
-from poissonprop.errors import ShapeMismatch, WindowTooLarge
+from poissonprop.errors import ShapeMismatch
 
 
 def _loop_avg_pool(data, window):
@@ -89,9 +89,9 @@ class TestAvgPool:
 
     def test_window_too_large(self):
         fmap = FeatureMap(np.zeros((1, 4, 4)))
-        with pytest.raises(WindowTooLarge):
+        with pytest.raises(ValueError, match="tile"):
             avg_pool(fmap, (5, 2))
-        with pytest.raises(WindowTooLarge):
+        with pytest.raises(ValueError, match="tile"):
             avg_pool(fmap, (2, 5))
 
     def test_partial_windows_rejected(self):
@@ -189,7 +189,7 @@ class TestDownsample:
 
     def test_window_must_tile(self):
         mask = SoftMask(np.zeros((4, 6)))
-        with pytest.raises(WindowTooLarge):
+        with pytest.raises(ValueError, match="tile"):
             downsample_mask(mask, (5, 2))
         with pytest.raises(ValueError, match="tile"):
             downsample_mask(mask, (3, 2))
