@@ -4,26 +4,25 @@ Subcommands: graph, propagate, episode, dice, synth. Any library error
 exits nonzero after printing one machine-parsable line to stderr:
 
     error: <ErrorClass>: <message>
+
+``manifest`` reads and writes the episode directory (manifest.json,
+spec.json, its tensors); this module writes the other commands' outputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import graph as graph_mod
 from . import poisson
 from .episode import EpisodeConfig, run_episode
 from .errors import PoissonPropError
-from .manifest import load_episode_manifest, load_synth_spec
+from .manifest import load_episode_manifest, load_synth_spec, write_synth_directory
 from .metrics import dsc
-from .synth import synth_episode
-from .tensorfile import DTYPE_F64, DTYPE_U8, load_tensor, save_tensor
+from .tensorfile import DTYPE_U8, load_tensor, save_tensor
 
 DSC_NOTE = "[score convention: 2|A∩B| / (|A|+|B|), higher is better]"
 
@@ -94,32 +93,8 @@ def _cmd_dice(args) -> int:
 
 def _cmd_synth(args) -> int:
     spec = load_synth_spec(args.spec)
-    ep, truth = synth_episode(spec)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    support_map, support_mask = ep.support
-    tensors = {  # manifest key -> (array, dtype code), written to <key>.t
-        "support_features": (support_map.data, DTYPE_F64),
-        "support_mask": (support_mask.data, DTYPE_U8),
-        "query_features": (ep.query.data, DTYPE_F64),
-        "query_mask": (truth.data, DTYPE_U8),
-    }
-    aux_names = [f"aux_{i:03d}.t" for i in range(len(ep.auxiliary))]
-    manifest = {key: f"{key}.t" for key in tensors}
-    files = [(manifest[key], *value) for key, value in tensors.items()]
-    files += [(name, aux.data, DTYPE_F64) for name, aux in zip(aux_names, ep.auxiliary)]
-    for name, data, code in files:
-        save_tensor(out_dir / name, data, code)
-    manifest.update(auxiliary_features=aux_names, config={})
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    )
-    # every spec field, arrays as lists (tuples are JSON arrays already)
-    echo = dataclasses.asdict(spec)
-    (out_dir / "spec.json").write_text(
-        json.dumps(echo, default=np.ndarray.tolist, sort_keys=True, indent=2) + "\n"
-    )
-    print(f"synth: wrote episode for seed {spec.seed} to {out_dir}")
+    write_synth_directory(spec, args.out_dir)
+    print(f"synth: wrote episode for seed {spec.seed} to {Path(args.out_dir)}")
     return 0
 
 

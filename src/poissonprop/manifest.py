@@ -1,4 +1,6 @@
-"""Human-writable JSON documents: episode manifests and synth specs.
+"""The episode-directory format, read and written here only:
+``load_episode_manifest`` reads a manifest, ``load_synth_spec`` a synth
+spec, and ``write_synth_directory`` writes both.
 
 Episode manifest keys (paths are resolved relative to the manifest):
 
@@ -15,22 +17,25 @@ Episode manifest keys (paths are resolved relative to the manifest):
 Config values are checked for type on load: an integer (not a boolean)
 for knn_k, a number for tol, strings for prediction_mode and files.
 Synth spec keys are the fields of SynthSpec; those without a default
-are required.
+are required. A synth directory holds ``<key>.t`` per single-file key,
+``aux_NNN.t``, ``manifest.json`` and the ``spec.json`` echo.
 """
 
 from __future__ import annotations
 
 import json
 import typing
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
+
+import numpy as np
 
 from .episode import Episode, EpisodeConfig
 from .errors import ManifestError
 from .scc import LinearParams, TwoLayerParams
-from .synth import SynthSpec
+from .synth import SynthSpec, synth_episode
 from .tensor import FeatureMap, SoftMask
-from .tensorfile import load_tensor
+from .tensorfile import DTYPE_F64, DTYPE_U8, load_tensor, save_tensor
 
 # JSON values a field of each type accepts; a bool is not a number
 _ACCEPTS = {int: (int,), float: (int, float), str: (str,)}
@@ -47,14 +52,15 @@ _SCALAR_KEYS = _scalar_fields(EpisodeConfig)
 _FILE_KEYS = ("sim_weight", "sim_bias", "h_w1", "h_b1", "h_w2", "h_b2")
 _CONFIG_KEYS = {"window", *_SCALAR_KEYS, *_FILE_KEYS}
 
-_MANIFEST_KEYS = {
-    "support_features",
-    "support_mask",
-    "auxiliary_features",
-    "query_features",
-    "query_mask",
-    "config",
+# manifest keys naming one tensor file each, in Episode field order, with
+# the dtype code a synth directory writes each in
+_TENSOR_KEYS = {
+    "support_features": DTYPE_F64,
+    "support_mask": DTYPE_U8,
+    "query_features": DTYPE_F64,
+    "query_mask": DTYPE_U8,
 }
+_MANIFEST_KEYS = {*_TENSOR_KEYS, "auxiliary_features", "config"}
 
 
 def _read_json(path) -> dict:
@@ -65,6 +71,14 @@ def _read_json(path) -> dict:
     if not isinstance(doc, dict):
         raise ManifestError(f"{path}: top level must be an object")
     return doc
+
+
+def _keyed(key, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ValueError or TypeError names ``key``."""
+    try:
+        return build(*args, **kwargs)
+    except (TypeError, ValueError) as err:
+        raise ManifestError(f"{key}: {err}") from err
 
 
 def _require(doc: dict, key: str):
@@ -101,11 +115,7 @@ def _load_feature_map(base: Path, key: str, rel) -> FeatureMap:
 
 
 def _load_mask(base: Path, key: str, rel) -> SoftMask:
-    data = _load_array(base, key, rel, 2)
-    try:
-        return SoftMask(data)
-    except ValueError as err:
-        raise ManifestError(f"{key}: {err}") from err
+    return _keyed(key, SoftMask, _load_array(base, key, rel, 2))
 
 
 def _load_linear(base: Path, cfg: dict, weight_key: str, bias_key: str) -> LinearParams:
@@ -113,10 +123,7 @@ def _load_linear(base: Path, cfg: dict, weight_key: str, bias_key: str) -> Linea
     bias = None
     if bias_key in cfg:
         bias = _load_array(base, bias_key, cfg[bias_key], 1)
-    try:
-        return LinearParams(weight, bias)
-    except ValueError as err:
-        raise ManifestError(f"{weight_key}: {err}") from err
+    return _keyed(weight_key, LinearParams, weight, bias)
 
 
 def _parse_config(base: Path, cfg) -> EpisodeConfig:
@@ -144,14 +151,8 @@ def _parse_config(base: Path, cfg) -> EpisodeConfig:
     if mlp_keys:
         first = _load_linear(base, cfg, "h_w1", "h_b1")
         second = _load_linear(base, cfg, "h_w2", "h_b2")
-        try:
-            kwargs["calibration_params"] = TwoLayerParams(first, second)
-        except ValueError as err:
-            raise ManifestError(f"h_w2: {err}") from err
-    try:
-        return EpisodeConfig(**kwargs)
-    except (TypeError, ValueError) as err:
-        raise ManifestError(f"config: {err}") from err
+        kwargs["calibration_params"] = _keyed("h_w2", TwoLayerParams, first, second)
+    return _keyed("config", EpisodeConfig, **kwargs)
 
 
 def load_episode_manifest(path) -> Episode:
@@ -171,19 +172,11 @@ def load_episode_manifest(path) -> Episode:
         for i, rel in enumerate(aux_entries)
     )
     query = _load_feature_map(base, "query_features", _require(doc, "query_features"))
-    query_mask = None
-    if "query_mask" in doc:
-        query_mask = _load_mask(base, "query_mask", doc["query_mask"])
-    try:
-        return Episode(
-            support=(support, support_mask),
-            auxiliary=auxiliary,
-            query=query,
-            query_mask=query_mask,
-            config=config,
-        )
-    except ValueError as err:
-        raise ManifestError(f"{path}: {err}") from err
+    query_mask = _load_mask(base, "query_mask", doc["query_mask"]) if "query_mask" in doc else None
+    return _keyed(
+        path, Episode, support=(support, support_mask), auxiliary=auxiliary,
+        query=query, query_mask=query_mask, config=config,
+    )
 
 
 def load_synth_spec(path) -> SynthSpec:
@@ -194,13 +187,26 @@ def load_synth_spec(path) -> SynthSpec:
         if f.default is MISSING:
             _require(doc, f.name)
     _check_keys(doc, {f.name for f in spec_fields}, "synth", _scalar_fields(SynthSpec))
-    center = doc["center"]
-    if not isinstance(center, list) or len(center) != 2:
-        raise ManifestError("center: expected [row, col]")
-    doc["center"] = tuple(_typed("center", v, float) for v in center)
-    if isinstance(doc["size"], list):
-        doc["size"] = tuple(doc["size"])
-    try:
-        return SynthSpec(**doc)
-    except (TypeError, ValueError) as err:
-        raise ManifestError(f"{path}: {err}") from err
+    for key in ("center", "size"):
+        if isinstance(doc[key], list):
+            doc[key] = tuple(doc[key])
+    return _keyed(path, SynthSpec, **doc)
+
+
+def write_synth_directory(spec: SynthSpec, out_dir) -> None:
+    """Write ``spec``'s episode to ``out_dir`` as a manifest directory
+    that ``load_episode_manifest`` reads back exactly, with a ``spec.json``
+    echo that ``load_synth_spec`` reads back."""
+    ep, _ = synth_episode(spec)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    aux_names = [f"aux_{i:03d}.t" for i in range(len(ep.auxiliary))]
+    manifest = {"auxiliary_features": aux_names, "config": {}}
+    for (key, code), item in zip(_TENSOR_KEYS.items(), (*ep.support, ep.query, ep.query_mask)):
+        manifest[key] = f"{key}.t"
+        save_tensor(out_dir / manifest[key], item.data, code)
+    for name, aux in zip(aux_names, ep.auxiliary):
+        save_tensor(out_dir / name, aux.data, DTYPE_F64)
+    for name, doc in (("manifest.json", manifest), ("spec.json", asdict(spec))):
+        text = json.dumps(doc, default=np.ndarray.tolist, sort_keys=True, indent=2)
+        (out_dir / name).write_text(text + "\n")  # spec arrays become lists

@@ -85,7 +85,7 @@ def similarity_map(
     the affine map instead, acting as a 1x1 convolution with loadable
     weights.
     """
-    vec = np.asarray(proto, dtype=np.float64)
+    vec = _as_float64(proto, "prototype")
     if vec.ndim != 1 or vec.shape[0] != query.channels:
         raise ShapeMismatch(
             f"prototype length {vec.shape} != query channels {query.channels}"

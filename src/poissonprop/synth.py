@@ -57,6 +57,9 @@ class SynthSpec:
         if len(parts) != 1 + rect or not all(map(_is_number, parts)):
             need = "[height, width]" if rect else "a radius"
             raise ValueError(f"size: a {self.shape} needs {need}, got {self.size!r}")
+        if not (isinstance(self.center, tuple) and len(self.center) == 2
+                and all(map(_is_number, self.center))):
+            raise ValueError(f"center: expected two numbers [row, col], got {self.center!r}")
         if self.n_auxiliary < 0:
             raise ValueError("n_auxiliary must be nonnegative")
         object.__setattr__(self, "fg_mean", fg)

@@ -1,4 +1,6 @@
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -241,12 +243,17 @@ class TestSynthAndEpisode:
         assert np.array_equal(load_tensor(out_dir / "confidence.t").data, res.confidence.values)
         assert np.array_equal(load_tensor(out_dir / "predicted_mask.t").data, res.mask_poisson)
 
-    def test_synth_directory_loads_back_exactly(self, tmp_path):
-        spec_path = write_spec(tmp_path, seed=5)
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(shape="rect", size=[8, 6], n_auxiliary=3), dict(n_auxiliary=0)],
+        ids=["rect-3-aux", "disk-no-aux"],
+    )
+    def test_synth_directory_loads_back_exactly(self, tmp_path, overrides):
+        spec_path = write_spec(tmp_path, seed=5, **overrides)
         main(["synth", "--spec", str(spec_path), "--out-dir", str(tmp_path / "ep")])
         back = load_episode_manifest(tmp_path / "ep" / "manifest.json")
         ep, truth = pp.synth_episode(load_synth_spec(spec_path))
-        assert len(back.auxiliary) == len(ep.auxiliary) == 3
+        assert len(back.auxiliary) == len(ep.auxiliary) == overrides["n_auxiliary"]
         pairs = [
             (back.support[0], ep.support[0]),
             (back.support[1], ep.support[1]),
@@ -300,13 +307,20 @@ GOLDEN_MANIFEST_JSON = """{
 
 class TestSynthSpec:
     def test_echo_and_manifest_bytes(self, tmp_path):
-        spec = write_spec(
-            tmp_path, channels=2, fg_mean=[1.5, -0.25], bg_mean=[0, 0],
-            shape="rect", size=[8, 6], center=[7, 8], n_auxiliary=1,
-        )
-        assert main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path / "ep")]) == 0
-        assert (tmp_path / "ep" / "spec.json").read_text() == GOLDEN_SPEC_JSON
-        assert (tmp_path / "ep" / "manifest.json").read_text() == GOLDEN_MANIFEST_JSON
+        golden = {
+            1: (GOLDEN_SPEC_JSON, GOLDEN_MANIFEST_JSON),
+            0: (GOLDEN_SPEC_JSON.replace('"n_auxiliary": 1', '"n_auxiliary": 0'),
+                GOLDEN_MANIFEST_JSON.replace('[\n    "aux_000.t"\n  ]', "[]")),
+        }
+        for n_auxiliary, (spec_json, manifest_json) in golden.items():
+            spec = write_spec(
+                tmp_path, channels=2, fg_mean=[1.5, -0.25], bg_mean=[0, 0],
+                shape="rect", size=[8, 6], center=[7, 8], n_auxiliary=n_auxiliary,
+            )
+            out_dir = tmp_path / f"ep{n_auxiliary}"
+            assert main(["synth", "--spec", str(spec), "--out-dir", str(out_dir)]) == 0
+            assert (out_dir / "spec.json").read_text() == spec_json
+            assert (out_dir / "manifest.json").read_text() == manifest_json
 
     def test_first_missing_key_in_field_order(self, tmp_path):
         doc = {k: v for k, v in SPEC_DOC.items() if k not in ("seed", "height")}
@@ -321,8 +335,17 @@ class TestSynthSpec:
 
     @pytest.mark.parametrize("center", [[1.0, 2.0, 3.0], "7,8", [7.0, "8"]])
     def test_bad_center_rejected(self, tmp_path, center):
-        with pytest.raises(ManifestError, match="^center: "):
-            load_synth_spec(write_spec(tmp_path, center=center))
+        path = write_spec(tmp_path, center=center)
+        shown = tuple(center) if isinstance(center, list) else center
+        message = f"{path}: center: expected two numbers [row, col], got {shown!r}"
+        with pytest.raises(ManifestError, match=f"^{re.escape(message)}$"):
+            load_synth_spec(path)
+
+    @pytest.mark.parametrize("center", [(1.0,), (1.0, 2.0, 3.0), ("a", "b"), (True, 2.0)])
+    def test_library_rejects_bad_center(self, center):
+        message = f"center: expected two numbers [row, col], got {center!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(two_blob_spec(0), center=center)
 
     def test_list_size_becomes_tuple(self, tmp_path):
         spec = load_synth_spec(write_spec(tmp_path, shape="rect", size=[8, 6]))

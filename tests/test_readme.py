@@ -9,7 +9,7 @@ from pathlib import Path
 
 from poissonprop import EpisodeConfig
 from poissonprop.cli import _PARSER
-from poissonprop.manifest import _CONFIG_KEYS, _SCALAR_KEYS
+from poissonprop.manifest import _CONFIG_KEYS, _MANIFEST_KEYS, _SCALAR_KEYS
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -17,7 +17,9 @@ README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 def test_manifest_example_lists_every_config_key():
     section = README.split("## Episode manifest\n", 1)[1]
     example = re.search(r"```json\n(.*?)```", section, re.S)
-    assert set(json.loads(example.group(1))["config"]) == _CONFIG_KEYS
+    doc = json.loads(example.group(1))
+    assert set(doc) == _MANIFEST_KEYS
+    assert set(doc["config"]) == _CONFIG_KEYS
 
 
 def test_defaults_sentence_names_every_knob_with_its_default():

@@ -106,6 +106,11 @@ class TestSimilarityMap:
         sim = similarity_map(fmap, proto, LinearParams(weight, np.zeros(2)))
         assert np.array_equal(sim.data[:, 0, 0], [3.0, -1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_prototype_rejected(self, bad):
+        with pytest.raises(ValueError, match="^prototype contains NaN or Inf$"):
+            similarity_map(FeatureMap(np.ones((3, 2, 2))), np.array([1.0, bad, 0.0]))
+
     def test_prototype_length_checked(self):
         with pytest.raises(ShapeMismatch):
             similarity_map(FeatureMap(np.zeros((3, 2, 2))), np.zeros(2))
