@@ -28,10 +28,7 @@ DSC_NOTE = "[score convention: 2|A∩B| / (|A|+|B|), higher is better]"
 
 
 def _cmd_graph(args) -> int:
-    points = load_tensor(args.features).data
-    if points.ndim != 2:
-        raise ValueError(f"--features must be a rank-2 (n, C) tensor, got rank {points.ndim}")
-    g = graph_mod.build_weight_graph(points, args.k)
+    g = graph_mod.build_weight_graph(load_tensor(args.features).data, args.k)
     triplets = graph_mod.to_triplets(g)
     save_tensor(args.out, triplets)
     print(f"graph: {g.n} vertices, {triplets.shape[0]} edges")

@@ -20,7 +20,7 @@ from .graph import VertexSet, WeightedGraph, build_weight_graph
 from .metrics import dsc
 from .poisson import ConfidenceMap, LabelSource, PropagationResult
 from .scc import LinearParams, TwoLayerParams
-from .tensor import FeatureMap, SoftMask, downsample_mask, predict_mask
+from .tensor import FeatureMap, SoftMask, _check_scalars, _is_a, downsample_mask, predict_mask
 
 PREDICTION_MODES = ("poisson", "calibrated")
 
@@ -37,6 +37,10 @@ class EpisodeConfig:
     calibration_params: TwoLayerParams | None = None
 
     def __post_init__(self):
+        _check_scalars(self)
+        w = self.window
+        if not (isinstance(w, tuple) and len(w) == 2 and all(_is_a(v, int) for v in w)):
+            raise TypeError(f"window: expected two integers (h, w), got {w!r}")
         if self.prediction_mode not in PREDICTION_MODES:
             raise ValueError(
                 f"prediction_mode must be one of {PREDICTION_MODES}, "

@@ -9,19 +9,14 @@ the geometry when the class means are well separated.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .episode import Episode, EpisodeConfig
-from .tensor import FeatureMap, SoftMask
+from .tensor import FeatureMap, SoftMask, _as_float64, _check_scalars, _is_a
 
 SHAPES = ("rect", "disk")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,25 +36,30 @@ class SynthSpec:
     n_auxiliary: int = 2
 
     def __post_init__(self):
-        fg = np.asarray(self.fg_mean, dtype=np.float64)
-        bg = np.asarray(self.bg_mean, dtype=np.float64)
+        _check_scalars(self)
+        fg = _as_float64(self.fg_mean, "fg_mean")
+        bg = _as_float64(self.bg_mean, "bg_mean")
         if fg.shape != (self.channels,) or bg.shape != (self.channels,):
             raise ValueError(
                 f"mean vectors must have length {self.channels}, "
                 f"got {fg.shape} and {bg.shape}"
             )
-        if self.noise_scale < 0:
-            raise ValueError("noise scale must be nonnegative")
+        if not 0 <= self.noise_scale < np.inf:
+            raise ValueError(f"noise_scale: expected a finite number >= 0, got {self.noise_scale!r}")
         if self.shape not in SHAPES:
             raise ValueError(f"shape must be one of {SHAPES}, got {self.shape!r}")
         rect = self.shape == "rect"
         parts = self.size if rect and isinstance(self.size, tuple) else (self.size,)
-        if len(parts) != 1 + rect or not all(map(_is_number, parts)):
+        if len(parts) != 1 + rect or not all(_is_a(v, float) for v in parts):
             need = "[height, width]" if rect else "a radius"
             raise ValueError(f"size: a {self.shape} needs {need}, got {self.size!r}")
+        if not all(0 < v < np.inf for v in parts):
+            raise ValueError(f"size: expected finite numbers > 0, got {self.size!r}")
         if not (isinstance(self.center, tuple) and len(self.center) == 2
-                and all(map(_is_number, self.center))):
+                and all(_is_a(v, float) for v in self.center)):
             raise ValueError(f"center: expected two numbers [row, col], got {self.center!r}")
+        if not all(abs(v) < np.inf for v in self.center):
+            raise ValueError(f"center: expected finite numbers, got {self.center!r}")
         if self.n_auxiliary < 0:
             raise ValueError("n_auxiliary must be nonnegative")
         object.__setattr__(self, "fg_mean", fg)

@@ -8,6 +8,9 @@ single-precision drift.
 
 from __future__ import annotations
 
+import functools
+import numbers
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +39,29 @@ def _unit_interval(values, name: str) -> np.ndarray:
     if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails too
         raise ValueError(f"{name} values must lie in [0, 1]")
     return arr
+
+
+# values a field of each type takes: numpy scalars count, a bool is not a number
+_ACCEPTS = {int: numbers.Integral, float: numbers.Real, str: str}
+
+
+def _is_a(value, kind: type) -> bool:
+    """Whether a field annotated ``kind`` (int, float or str) takes ``value``."""
+    return isinstance(value, _ACCEPTS[kind]) and not isinstance(value, bool)
+
+
+@functools.cache
+def _scalar_fields(cls) -> dict:
+    return {k: t for k, t in typing.get_type_hints(cls).items() if t in _ACCEPTS}
+
+
+def _check_scalars(obj) -> None:
+    """Raise ``TypeError`` naming the first int, float or str field of
+    dataclass ``obj`` whose value is not of its annotated type."""
+    for name, kind in _scalar_fields(type(obj)).items():
+        value = getattr(obj, name)
+        if not _is_a(value, kind):
+            raise TypeError(f"{name}: expected {kind.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

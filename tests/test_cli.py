@@ -145,7 +145,7 @@ class TestGraphPropagate:
         save_tensor(feat, np.zeros((2, 2, 2)))
         code = main(["graph", "--features", str(feat), "--out", str(tmp_path / "g.t")])
         assert code == 1
-        assert "error: ValueError:" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: ValueError: points must be an (n, C) array\n"
 
 
 class TestDice:
@@ -347,6 +347,34 @@ class TestSynthSpec:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             replace(two_blob_spec(0), center=center)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"size": -2.0}, "size: expected finite numbers > 0, got -2.0"),
+            ({"size": 0.0}, "size: expected finite numbers > 0, got 0.0"),
+            ({"size": np.nan}, "size: expected finite numbers > 0, got nan"),
+            ({"size": np.inf}, "size: expected finite numbers > 0, got inf"),
+            ({"shape": "rect", "size": (8, -3)}, "size: expected finite numbers > 0, got (8, -3)"),
+            ({"center": (np.nan, 8.0)}, "center: expected finite numbers, got (nan, 8.0)"),
+            ({"noise_scale": -1.0}, "noise_scale: expected a finite number >= 0, got -1.0"),
+            ({"noise_scale": np.inf}, "noise_scale: expected a finite number >= 0, got inf"),
+            ({"fg_mean": np.full(8, np.nan)}, "fg_mean contains NaN or Inf"),
+            ({"bg_mean": np.full(8, np.inf)}, "bg_mean contains NaN or Inf"),
+        ],
+        ids=["radius-negative", "radius-zero", "radius-nan", "radius-inf", "rect-negative",
+             "center-nan", "noise-negative", "noise-inf", "fg-nan", "bg-inf"],
+    )
+    def test_library_rejects_bad_values(self, change, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(two_blob_spec(0), **change)
+
+    def test_negative_size_named(self, tmp_path, capsys):
+        path = write_spec(tmp_path, size=-3.0)
+        assert main(["synth", "--spec", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        message = f"{path}: size: expected finite numbers > 0, got -3.0"
+        assert capsys.readouterr().err == f"error: ManifestError: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_list_size_becomes_tuple(self, tmp_path):
         spec = load_synth_spec(write_spec(tmp_path, shape="rect", size=[8, 6]))
         assert spec.size == (8, 6) and isinstance(spec.size, tuple)
@@ -378,9 +406,15 @@ class TestManifestErrors:
         ],
     )
     def test_wrong_type_named(self, tmp_path, capsys, command, key, values):
+        # a file entry is checked by the reader and names its key alone; a
+        # value is checked by its container, named after the config or spec
+        kinds = {"knn_k": "int", "seed": "int", "height": "int", "tol": "float", "noise_scale": "float"}
+        kind = kinds.get(key, "str")
+        prefix = "" if key in ("sim_weight", "h_w1") else "config: "
         if command == "synth":
             path = write_spec(tmp_path, **values)
             argv = ["synth", "--spec", str(path)]
+            prefix = f"{path}: "
         else:
             path = tmp_path / "m.json"
             path.write_text(json.dumps({
@@ -391,9 +425,8 @@ class TestManifestErrors:
             }))
             argv = ["episode", "--manifest", str(path)]
         assert main([*argv, "--out-dir", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: ManifestError: {key}: expected ")
-        assert err.count("\n") == 1 and "Traceback" not in err
+        message = f"{prefix}{key}: expected {kind}, got {values[key]!r}"
+        assert capsys.readouterr().err == f"error: ManifestError: {message}\n"
 
     @pytest.mark.parametrize(
         "config, stage",
@@ -402,6 +435,7 @@ class TestManifestErrors:
             ({"tol": 0.0}, "propagation"),
             ({"knn_k": 0}, "graph-build"),
             ({"tol": float("inf")}, "propagation"),
+            ({"window": [0, 4]}, "support-pooling"),
         ],
     )
     def test_stage_failure_named(self, tmp_path, capsys, config, stage):
@@ -416,6 +450,24 @@ class TestManifestErrors:
         assert err.startswith(f"error: ValueError: stage {stage}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "key, data, message",
+        [
+            ("support_features", np.zeros((16, 16)),
+             "feature map must be rank 3 (C,H,W), got rank 2"),
+            ("query_mask", np.zeros((1, 16, 16)),
+             "mask must be rank 2 (H,W) and its dims must be positive, got shape (1, 16, 16)"),
+        ],
+    )
+    def test_bad_rank_named_by_container(self, tmp_path, capsys, key, data, message):
+        synth_dir = tmp_path / "ep"
+        assert main(["synth", "--spec", str(write_spec(tmp_path)), "--out-dir", str(synth_dir)]) == 0
+        save_tensor(synth_dir / f"{key}.t", data)
+        capsys.readouterr()
+        manifest = str(synth_dir / "manifest.json")
+        assert main(["episode", "--manifest", manifest, "--out-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: ManifestError: {key}: {message}\n"
 
     def test_missing_key_named(self, tmp_path, capsys):
         man = tmp_path / "m.json"

@@ -1,5 +1,7 @@
 import dataclasses
 import functools
+import re
+import typing
 
 import numpy as np
 import pytest
@@ -79,6 +81,39 @@ class TestEpisodeValidation:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EpisodeConfig(prediction_mode="argmax")
+
+
+_WRONG = {int: 2.5, float: "1e-6", str: 1}
+_SCALAR_FIELDS = [
+    (cls, name, kind)
+    for cls in (EpisodeConfig, pp.SynthSpec)
+    for name, kind in typing.get_type_hints(cls).items()
+    if kind in _WRONG
+]
+
+
+@pytest.mark.parametrize(
+    "cls, name, kind", _SCALAR_FIELDS, ids=[f"{c.__name__}.{n}" for c, n, _ in _SCALAR_FIELDS]
+)
+def test_scalar_field_types(cls, name, kind):
+    """A bool or another type is rejected for every int, float or str field,
+    naming it; numpy integers and floats are accepted."""
+    base = EpisodeConfig() if cls is EpisodeConfig else two_blob_spec(0)
+    for value in (True, _WRONG[kind]):
+        message = f"{name}: expected {kind.__name__}, got {value!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(base, **{name: value})
+    if kind is not str:
+        numpy_value = (np.int64 if kind is int else np.float32)(getattr(base, name))
+        assert getattr(dataclasses.replace(base, **{name: numpy_value}), name) == numpy_value
+
+
+@pytest.mark.parametrize("window", [[4, 4], (4,), (4, 4, 4), (4.0, 4.0), (True, 4), "4x4"])
+def test_config_window_is_two_integers(window):
+    message = f"window: expected two integers (h, w), got {window!r}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        EpisodeConfig(window=window)
+    assert EpisodeConfig(window=(np.int64(2), 8)).window == (2, 8)
 
 
 class TestRunEpisode:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from poissonprop import EpisodeConfig
 from poissonprop.cli import _PARSER
-from poissonprop.manifest import _CONFIG_KEYS, _MANIFEST_KEYS, _SCALAR_KEYS
+from poissonprop.manifest import _CONFIG_KEYS, _MANIFEST_KEYS, _VALUE_KEYS
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -25,7 +25,7 @@ def test_manifest_example_lists_every_config_key():
 def test_defaults_sentence_names_every_knob_with_its_default():
     sentence = README.split("knobs with defaults", 1)[1].split("\n\n", 1)[0]
     named = dict(re.findall(r"`(\w+)=([^`]+)`", sentence))
-    assert set(_SCALAR_KEYS) <= set(named)
+    assert _VALUE_KEYS <= set(named)
     defaults = {f.name: f.default for f in fields(EpisodeConfig)}
     for knob, text in named.items():
         assert knob in defaults, f"README names a removed knob {knob!r}"
