@@ -4,10 +4,12 @@ Edge weights use a self-tuning Gaussian kernel: the squared distance to
 each point's K-th nearest neighbor sets that point's local bandwidth,
 so the weight matrix is invariant to global rescaling of the points.
 The kNN search is exact, with ties broken toward the lower index: per
-row block, one GEMM screens all pairs against each row's K-th distance,
-bounded from minima over strided column groups, under a proven rounding
-margin; survivors' distances are recomputed elementwise, so the graph is
-bit-identical for any BLAS build or thread count, in O(block * n) memory.
+row block, one float32 GEMM on the centred points, scaled by a power of
+two, screens all pairs against each row's K-th distance, bounded from
+minima over strided column groups, under a proven rounding margin;
+survivors' distances are recomputed elementwise in float64, so the graph
+is bit-identical for any BLAS build or thread count, in O(block * n)
+memory.
 """
 
 from __future__ import annotations
@@ -115,51 +117,81 @@ class WeightedGraph:
         return self.weights.shape[0]
 
 
-# Screen margin. u = 2^-53 (eps = 2u), x~ = fl(x - mean), a_i = |x~_i|, s_i = fl(|x~_i|^2);
-# D_ij = fl(sum fl(fl(x_i - x_j)^2)) is the recompute that ranks, d_ij = |x_i - x_j|^2 exactly.
-# Each point gets h_i = fl(fl(c s_i) + slack), c = 3 (C+2) eps, and p_i = fl(s_i + h_i); one
-# GEMM of [-2 x~, 1] by [x~, p]^T gives B_ij = fl(p_j - 2 x~_i.x~_j), a (C+1)-term dot product.
-# To first order in u: D_ij is within (C+2)u d_ij of d_ij (one rounding for the difference, two
-# for the square, C-1 for a sum of nonnegative terms), d_ij <= (a_i + a_j)^2, centring moves
-# |x~_i - x~_j|^2 from d_ij by 2u (a_i + a_j)^2, and B_ij + a_i^2 - h_j - |x~_i - x~_j|^2 is the
-# rounding of the dot product, (C+1)u (2 a_i a_j + a_j^2) by Cauchy-Schwarz, plus C u a_j^2 for
-# s_j and u a_j^2 for p_j. With the row constant R_i = a_i^2 + h_i (never computed) that gives
-# |B_ij + R_i - h_i - h_j - D_ij| <= (3C+9)u a_i^2 + (5C+11)u a_j^2 (as 2ab <= a^2 + b^2), and
-# h_i + h_j >= (6C+12)u (a_i^2 + a_j^2) leaves (C+1)u (a_i^2 + a_j^2) for the O(C^2 u^2) terms
-# (fine for C << 1e8). So B_ij - 2h_j - 2h_i + R_i <= D_ij <= B_ij + R_i.
-# Row bound: column j is in group j mod m, m = max(K, ceil(n / 8)) <= n - 1, and the diagonal is
-# +inf. The K smallest group minima are B_ij of K distinct columns j != i, so their largest, V_i,
-# gives D_(K) <= V_i + R_i (right inequality). V_i is +inf where K = n - 1 leaves a diagonal
-# alone in its group; that diagonal passes and is cleared. Each j among the K nearest has
-# D_ij <= D_(K), so B_ij - 2h_j <= V_i + 2h_i exactly (left inequality); rounding is monotone,
-# so the in-place fl(B_ij - 2h_j) <= fl(V_i + 2h_i) keeps j.
-# Underflow: sums are exact among subnormals, and each product (or fused multiply-add) that
-# underflows is off by at most 2^-1075; a pair meets at most 3C+2 (C each in the dot product,
-# s_j and D_ij, two in c s). If a_i^2 + a_j^2 >= 2^-1019 the leftover covers them. Below it,
-# h_i, h_j < 2^-1021, where adding slack = 4 (C+4) 2^-1074 is exact, and the two slacks do.
+# Screen margin. The screen runs in float32 (u = 2^-24, eta = 2^-149 its least subnormal) and the
+# recompute that ranks in float64 (v = 2^-53). In float64, x~ = fl(x - mean), S_i = fl(|x~_i|^2),
+# D_ij = fl(sum fl(fl(x_i - x_j)^2)), and d_ij = |x_i - x_j|^2 exactly. Scaled units: y_i = 2^e x~_i
+# exactly, A_i = |y_i|, with e = (100 - E) // 2 for max S < 2^E (E = 0 if max S = 0), so
+# 2^2e max S < 2^100 and -461 <= e <= 586 (max S is 0, a subnormal or below 2^1021). Each point
+# gets z_i = fl32(2^e x~_i), h_i = fl32 rounded up of fl(c 2^2e S_i + slack), c = 4 (C+2) u,
+# slack = (C+2) (eta + 2^(2e-1074)), and p_i = fl32(fl(2^2e S_i + h_i)); one float32 GEMM of
+# [-2 z, 1] by [z, p]^T gives B_ij = fl(p_j - 2 z_i.z_j), a (C+1)-term dot product. To first order
+# in u, in scaled units:
+# - conversion: |z_ic - y_ic| <= u |y_ic| + eta (fl32 of an exact or float64-subnormal product), so
+#   2 |z_i.z_j - y_i.y_j| <= 4u A_i A_j + 2 sqrt(C) eta (A_i + A_j)
+#   <= 3u (A_i^2 + A_j^2) + 2C eta^2/u;
+# - GEMM: (C+1)u (p_j + 2 |z_i||z_j|) + C eta, in any order, with or without fused multiply-adds:
+#   each of the C products that underflows is off by at most eta/2, and sums are exact among
+#   subnormals; by Cauchy-Schwarz that is (C+1)u (A_i^2 + 2 A_j^2 + h_j) + C eta;
+# - augmented column: u (A_j^2 + h_j) + eta/2 for fl32(p_j), C v A_j^2 for S_j and 2^2e C 2^-1075
+#   for the squares in S_j that underflow float64;
+# - recompute: D_ij is within (C+2)v d_ij of d_ij (one rounding for the difference, two for the
+#   square, C-1 for a sum of nonnegative terms) plus C 2^-1075 for its squares that underflow,
+#   centring moves |x~_i - x~_j|^2 from d_ij by 2v (|x~_i| + |x~_j|)^2, and
+#   d_ij <= 2 (|x~_i|^2 + |x~_j|^2): together (2C+8)v (A_i^2 + A_j^2) + 2^2e C 2^-1075.
+# With the row constant R_i = A_i^2 + h_i (never computed), these sum to |B_ij + R_i - h_i - h_j -
+# 2^2e D_ij| <= (C+4)u A_i^2 + (2C+6)u A_j^2 + (C+2)u h_j + (C+1) eta + 2^2e C 2^-1074 + O(Cv)
+# (A_i^2 + A_j^2) + 2C eta^2/u. h_i + h_j >= c (A_i^2 + A_j^2) + 2 slack (less 2c 2^2e C 2^-1075,
+# the underflow in S_i, S_j) leaves (2C+2)u (A_i^2 + A_j^2) for the O(Cv) terms, h's own float64
+# roundings among them, and the O(C^2 u^2) ones (fine for C < 2^20), and (C+3) eta +
+# (C+4) 2^2e 2^-1074 for the rest, also where 2^(2e-1074) is below 2^-1074 and flushes to 0.
+# So B_ij - 2h_j - 2h_i + R_i <= 2^2e D_ij <= B_ij + R_i.
+# Where every S_i underflows float64 (points near 1e-300), z = 0 and every pair survives.
+# Range: 2^2e S_i < 2^100 and slack < (C+2) 2^99, so every finite value in the screen, and the
+# bound below, is under 2^123 for C < 2^20; the +inf diagonal minus 2h_j stays +inf, never NaN.
+# Row bound, with D in scaled units: column j is in group j mod m, m = max(K, ceil(n / 8)) <=
+# n - 1, and the diagonal is +inf. The K smallest group minima are B_ij of K distinct columns
+# j != i, so their largest, V_i, gives D_(K) <= V_i + R_i (right inequality). V_i is +inf where
+# K = n - 1 leaves a diagonal alone in its group; that diagonal passes and is cleared. Each j
+# among the K nearest has D_ij <= D_(K), so B_ij - 2h_j <= V_i + 2h_i exactly (left
+# inequality); rounding is monotone, so the in-place fl32(B_ij - 2h_j) <= fl32(V_i + 2h_i)
+# keeps j.
+def _screen_operands(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The float32 screen's [-2 z, 1] and [z, p] and its margins 2h, as above."""
+    n, channels = pts.shape
+    centred = pts - pts.mean(axis=0)
+    sq = np.einsum("ij,ij->i", centred, centred)
+    if not np.isfinite(8.0 * sq.max()):
+        raise ValueError("points must be finite, with squared distances in float64 range")
+    exponent = (100 - int(np.frexp(sq.max())[1])) // 2
+    rhs = np.empty((n, channels + 1), dtype=np.float32)
+    np.multiply(centred, 2.0**exponent, out=rhs[:, :-1])
+    lhs = np.empty_like(rhs)
+    np.multiply(rhs[:, :-1], -2, out=lhs[:, :-1])  # exact scaling
+    lhs[:, -1] = 1
+    scaled_sq = np.ldexp(sq, 2 * exponent)
+    slack = (channels + 2) * (2.0**-149 + np.ldexp(1.0, 2 * exponent - 1074))
+    half = 4 * (channels + 2) * 2.0**-24 * scaled_sq + slack
+    margin = half.astype(np.float32)
+    np.nextafter(margin, np.float32(np.inf), out=margin, where=margin < half)
+    rhs[:, -1] = scaled_sq + margin
+    return lhs, rhs, 2 * margin
+
+
 def _knn(pts: np.ndarray, k_neighbors: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact K nearest other points of every point, in row blocks.
 
     Returns (n, K) neighbor indices and their squared distances, ordered
-    by (distance, index). A GEMM screen keeps every candidate that
-    could be among the K nearest under its rounding margin; survivors
-    are recomputed elementwise, so the result never depends on BLAS
-    rounding, and working memory is O(block * n).
+    by (distance, index). A float32 GEMM screen keeps every candidate
+    that could be among the K nearest under its rounding margin;
+    survivors are recomputed elementwise in float64, so the result never
+    depends on BLAS rounding, and working memory is O(block * n).
     """
-    n, channels = pts.shape
+    n = pts.shape[0]
     if k_neighbors < 1:
         raise ValueError("K must be positive")
     if k_neighbors > n - 1:
         raise KTooLarge(f"K={k_neighbors} but only {n - 1} other points exist")
-    rhs = np.empty((n, channels + 1))  # [x~, p]: the centred points are its first C columns
-    centred = np.subtract(pts, pts.mean(axis=0), out=rhs[:, :-1])
-    sq = np.einsum("ij,ij->i", centred, centred)
-    if not np.isfinite(8.0 * sq.max()):
-        raise ValueError("points must be finite, with squared distances in float64 range")
-    half_margin = 3 * (channels + 2) * np.finfo(float).eps * sq + 4 * (channels + 4) * 2.0**-1074
-    rhs[:, -1] = sq + half_margin
-    lhs = np.hstack([-2.0 * centred, np.ones((n, 1))])  # exact scaling
-    margin = 2.0 * half_margin
+    lhs, rhs, margin = _screen_operands(pts)
     groups = max(k_neighbors, -(-n // _GROUP_WIDTH))
     whole = n - n % groups  # columns past it top up the first groups
     neighbors = np.empty((n, k_neighbors), dtype=np.int64)

@@ -37,6 +37,11 @@ class SynthSpec:
 
     def __post_init__(self):
         _check_scalars(self)
+        for name, least in (("channels", 1), ("height", 1), ("width", 1), ("seed", 0),
+                            ("n_auxiliary", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name}: expected an integer >= {least}, got {value!r}")
         fg = _as_float64(self.fg_mean, "fg_mean")
         bg = _as_float64(self.bg_mean, "bg_mean")
         if fg.shape != (self.channels,) or bg.shape != (self.channels,):
@@ -60,8 +65,6 @@ class SynthSpec:
             raise ValueError(f"center: expected two numbers [row, col], got {self.center!r}")
         if not all(abs(v) < np.inf for v in self.center):
             raise ValueError(f"center: expected finite numbers, got {self.center!r}")
-        if self.n_auxiliary < 0:
-            raise ValueError("n_auxiliary must be nonnegative")
         object.__setattr__(self, "fg_mean", fg)
         object.__setattr__(self, "bg_mean", bg)
 

@@ -360,9 +360,15 @@ class TestSynthSpec:
             ({"noise_scale": np.inf}, "noise_scale: expected a finite number >= 0, got inf"),
             ({"fg_mean": np.full(8, np.nan)}, "fg_mean contains NaN or Inf"),
             ({"bg_mean": np.full(8, np.inf)}, "bg_mean contains NaN or Inf"),
+            ({"seed": -1}, "seed: expected an integer >= 0, got -1"),
+            ({"height": 0}, "height: expected an integer >= 1, got 0"),
+            ({"width": -4}, "width: expected an integer >= 1, got -4"),
+            ({"channels": 0}, "channels: expected an integer >= 1, got 0"),
+            ({"n_auxiliary": -1}, "n_auxiliary: expected an integer >= 0, got -1"),
         ],
         ids=["radius-negative", "radius-zero", "radius-nan", "radius-inf", "rect-negative",
-             "center-nan", "noise-negative", "noise-inf", "fg-nan", "bg-inf"],
+             "center-nan", "noise-negative", "noise-inf", "fg-nan", "bg-inf", "seed-negative",
+             "height-zero", "width-negative", "channels-zero", "auxiliary-negative"],
     )
     def test_library_rejects_bad_values(self, change, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -373,6 +379,21 @@ class TestSynthSpec:
         assert main(["synth", "--spec", str(path), "--out-dir", str(tmp_path / "o")]) == 1
         message = f"{path}: size: expected finite numbers > 0, got -3.0"
         assert capsys.readouterr().err == f"error: ManifestError: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"seed": -1}, "seed: expected an integer >= 0, got -1"),
+            ({"width": -4}, "width: expected an integer >= 1, got -4"),
+            ({"height": 0}, "height: expected an integer >= 1, got 0"),
+        ],
+        ids=["seed", "width", "height"],
+    )
+    def test_sign_errors_named(self, tmp_path, capsys, values, message):
+        path = write_spec(tmp_path, **values)
+        assert main(["synth", "--spec", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: ManifestError: {path}: {message}\n"
         assert not (tmp_path / "o").exists()
 
     def test_list_size_becomes_tuple(self, tmp_path):

@@ -60,11 +60,19 @@ def _screen_corpus():
         # the far point's nearest tie exactly and its screen error grows with its
         # own norm: fails with a zero margin, or without the margin's row term
         "far-row-ties": (np.vstack([lattice - 4.0, [[1e9, 0.0]]]), 3),
+        # at 1e-161 squared distances are float64 subnormals, and the screen's slack
+        # for the recompute's underflow decides (without it these fail); at 1e-300
+        # they underflow to 0, every pair must survive and no margin may overflow
         **{
             f"gauss-c{c}-scale-{scale:.0e}": (scale * gauss[c], 10)
             for c in (1, 8, 256)
-            for scale in (1e-30, 1.0, 1e15)
+            for scale in (1e-300, 1e-161, 1e-30, 1.0, 1e15)
         },
+        # squared distances span 1e-50 to 1e30, more than float32's range
+        "tight-cluster-far-outlier": (
+            np.vstack([1e-25 * rng.standard_normal((100, 4)), [[1e15, 0.0, 0.0, 0.0]]]),
+            10,
+        ),
     }
 
 
