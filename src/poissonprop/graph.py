@@ -5,11 +5,11 @@ each point's K-th nearest neighbor sets that point's local bandwidth,
 so the weight matrix is invariant to global rescaling of the points.
 The kNN search is exact, with ties broken toward the lower index: per
 row block, one float32 GEMM on the centred points, scaled by a power of
-two, screens all pairs against each row's K-th distance, bounded from
-minima over strided column groups, under a proven rounding margin;
-survivors' distances are recomputed elementwise in float64, so the graph
-is bit-identical for any BLAS build or thread count, in O(block * n)
-memory.
+two and with a proven rounding margin folded into its operand, screens
+all pairs against each row's K-th distance, bounded from minima over
+strided column groups and widened by the margin; survivors' distances
+are recomputed elementwise in float64, so the graph is bit-identical for
+any BLAS build or thread count, in O(block * n) memory.
 """
 
 from __future__ import annotations
@@ -123,40 +123,41 @@ class WeightedGraph:
 # exactly, A_i = |y_i|, with e = (100 - E) // 2 for max S < 2^E (E = 0 if max S = 0), so
 # 2^2e max S < 2^100 and -461 <= e <= 586 (max S is 0, a subnormal or below 2^1021). Each point
 # gets z_i = fl32(2^e x~_i), h_i = fl32 rounded up of fl(c 2^2e S_i + slack), c = 4 (C+2) u,
-# slack = (C+2) (eta + 2^(2e-1074)), and p_i = fl32(fl(2^2e S_i + h_i)); one float32 GEMM of
+# slack = (C+2) (eta + 2^(2e-1074)), and p_i = fl32(fl(2^2e S_i - h_i)); one float32 GEMM of
 # [-2 z, 1] by [z, p]^T gives B_ij = fl(p_j - 2 z_i.z_j), a (C+1)-term dot product. To first order
 # in u, in scaled units:
 # - conversion: |z_ic - y_ic| <= u |y_ic| + eta (fl32 of an exact or float64-subnormal product), so
 #   2 |z_i.z_j - y_i.y_j| <= 4u A_i A_j + 2 sqrt(C) eta (A_i + A_j)
 #   <= 3u (A_i^2 + A_j^2) + 2C eta^2/u;
-# - GEMM: (C+1)u (p_j + 2 |z_i||z_j|) + C eta, in any order, with or without fused multiply-adds:
+# - GEMM: (C+1)u (|p_j| + 2 |z_i||z_j|) + C eta, in any order, with or without fused multiply-adds:
 #   each of the C products that underflows is off by at most eta/2, and sums are exact among
-#   subnormals; by Cauchy-Schwarz that is (C+1)u (A_i^2 + 2 A_j^2 + h_j) + C eta;
+#   subnormals; by Cauchy-Schwarz and |p_j| <= A_j^2 + h_j, (C+1)u (A_i^2 + 2 A_j^2 + h_j) + C eta;
 # - augmented column: u (A_j^2 + h_j) + eta/2 for fl32(p_j), C v A_j^2 for S_j and 2^2e C 2^-1075
 #   for the squares in S_j that underflow float64;
 # - recompute: D_ij is within (C+2)v d_ij of d_ij (one rounding for the difference, two for the
 #   square, C-1 for a sum of nonnegative terms) plus C 2^-1075 for its squares that underflow,
 #   centring moves |x~_i - x~_j|^2 from d_ij by 2v (|x~_i| + |x~_j|)^2, and
 #   d_ij <= 2 (|x~_i|^2 + |x~_j|^2): together (2C+8)v (A_i^2 + A_j^2) + 2^2e C 2^-1075.
-# With the row constant R_i = A_i^2 + h_i (never computed), these sum to |B_ij + R_i - h_i - h_j -
+# With the row constant R_i = A_i^2 + h_i (never computed), these sum to |B_ij + R_i - h_i + h_j -
 # 2^2e D_ij| <= (C+4)u A_i^2 + (2C+6)u A_j^2 + (C+2)u h_j + (C+1) eta + 2^2e C 2^-1074 + O(Cv)
 # (A_i^2 + A_j^2) + 2C eta^2/u. h_i + h_j >= c (A_i^2 + A_j^2) + 2 slack (less 2c 2^2e C 2^-1075,
 # the underflow in S_i, S_j) leaves (2C+2)u (A_i^2 + A_j^2) for the O(Cv) terms, h's own float64
 # roundings among them, and the O(C^2 u^2) ones (fine for C < 2^20), and (C+3) eta +
 # (C+4) 2^2e 2^-1074 for the rest, also where 2^(2e-1074) is below 2^-1074 and flushes to 0.
-# So B_ij - 2h_j - 2h_i + R_i <= 2^2e D_ij <= B_ij + R_i.
+# So B_ij - 2h_i + R_i <= 2^2e D_ij <= B_ij + 2h_j + R_i: the margin lives in the GEMM's operand.
 # Where every S_i underflows float64 (points near 1e-300), z = 0 and every pair survives.
 # Range: 2^2e S_i < 2^100 and slack < (C+2) 2^99, so every finite value in the screen, and the
-# bound below, is under 2^123 for C < 2^20; the +inf diagonal minus 2h_j stays +inf, never NaN.
-# Row bound, with D in scaled units: column j is in group j mod m, m = max(K, ceil(n / 8)) <=
-# n - 1, and the diagonal is +inf. The K smallest group minima are B_ij of K distinct columns
-# j != i, so their largest, V_i, gives D_(K) <= V_i + R_i (right inequality). V_i is +inf where
-# K = n - 1 leaves a diagonal alone in its group; that diagonal passes and is cleared. Each j
-# among the K nearest has D_ij <= D_(K), so B_ij - 2h_j <= V_i + 2h_i exactly (left
-# inequality); rounding is monotone, so the in-place fl32(B_ij - 2h_j) <= fl32(V_i + 2h_i)
-# keeps j.
+# bound below, is under 2^123 for C < 2^20.
+# Row bound, with D in scaled units and H = max_j h_j: column j is in group j mod m, m = max(K,
+# ceil(n / 8)) <= n - 1, and the diagonal is +inf. The K smallest group minima are B_ij of K
+# distinct columns j != i, so their largest, V_i, gives D_(K) <= V_i + 2H + R_i (right
+# inequality, with h_j <= H). V_i is +inf where K = n - 1 leaves a diagonal alone in its group;
+# that diagonal passes and is cleared. Each j among the K nearest has D_ij <= D_(K), so B_ij <=
+# V_i + 2h_i + 2H exactly (left inequality). w_i, the float32 after fl32(fl(2h_i + 2H)), is above
+# fl(2h_i + 2H), so at least the next float64, past the exact sum: w_i >= 2h_i + 2H. Rounding is
+# monotone, so B_ij <= fl32(V_i + w_i) keeps j.
 def _screen_operands(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The float32 screen's [-2 z, 1] and [z, p] and its margins 2h, as above."""
+    """The float32 screen's [-2 z, 1] and [z, p] and its row widening w, as above."""
     n, channels = pts.shape
     centred = pts - pts.mean(axis=0)
     sq = np.einsum("ij,ij->i", centred, centred)
@@ -173,8 +174,9 @@ def _screen_operands(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     half = 4 * (channels + 2) * 2.0**-24 * scaled_sq + slack
     margin = half.astype(np.float32)
     np.nextafter(margin, np.float32(np.inf), out=margin, where=margin < half)
-    rhs[:, -1] = scaled_sq + margin
-    return lhs, rhs, 2 * margin
+    rhs[:, -1] = scaled_sq - margin
+    wide = 2 * (margin.astype(np.float64) + margin.max())
+    return lhs, rhs, np.nextafter(wide.astype(np.float32), np.float32(np.inf))
 
 
 def _knn(pts: np.ndarray, k_neighbors: int) -> tuple[np.ndarray, np.ndarray]:
@@ -191,7 +193,7 @@ def _knn(pts: np.ndarray, k_neighbors: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("K must be positive")
     if k_neighbors > n - 1:
         raise KTooLarge(f"K={k_neighbors} but only {n - 1} other points exist")
-    lhs, rhs, margin = _screen_operands(pts)
+    lhs, rhs, widen = _screen_operands(pts)
     groups = max(k_neighbors, -(-n // _GROUP_WIDTH))
     whole = n - n % groups  # columns past it top up the first groups
     neighbors = np.empty((n, k_neighbors), dtype=np.int64)
@@ -207,14 +209,13 @@ def _knn(pts: np.ndarray, k_neighbors: int) -> tuple[np.ndarray, np.ndarray]:
         least = screen[:, :whole].reshape(hi - lo, -1, groups).min(axis=1)
         np.minimum(least[:, : n - whole], screen[:, whole:], out=least[:, : n - whole])
         least.partition(k_neighbors - 1, axis=1)
-        bound = least[:, k_neighbors - 1] + margin[lo:hi]
-        screen -= margin
+        bound = least[:, k_neighbors - 1] + widen[lo:hi]
         keep = screen <= bound[:, None]
         keep[local, lo + local] = False
         rows, cols = np.divmod(np.flatnonzero(keep), n)
         diff = pts[lo + rows] - pts[cols]
         d2 = np.sum(diff * diff, axis=-1)
-        order = np.lexsort((cols, d2, rows))
+        order = np.lexsort((d2, rows))  # stable, and cols ascend within a row
         first = np.searchsorted(rows, local)
         picked = order[first[:, None] + np.arange(k_neighbors)]
         neighbors[lo:hi] = cols[picked]

@@ -6,10 +6,11 @@ Laplacian L = D - W. The paper's update is the Jacobi fixed point
 ``R <- R + D^{-1} (source^T - L R)``; ``solve_iterative`` solves the
 same system by Jacobi-preconditioned conjugate gradients from R = 0, one
 class per contiguous row, capped at n iterations for n vertices: in exact
-arithmetic CG ends within n steps (Hestenes and Stiefel, 1952). Every
-iterate keeps the degree-weighted zero-sum constraint sum_i d_i R[i, :] = 0
-(1^T L = 0, 1^T source = 0 and d^T D^{-1} r = 1^T r), which pins down
-the solution despite L's constant nullspace.
+arithmetic CG ends within n steps (Hestenes and Stiefel, 1952). The
+classes sum to zero, so the last nonzero one is minus the others' sum.
+Every iterate keeps the degree-weighted zero-sum constraint sum_i d_i
+R[i, :] = 0 (1^T L = 0, 1^T source = 0 and d^T D^{-1} r = 1^T r), which
+pins down the solution despite L's constant nullspace.
 """
 
 from __future__ import annotations
@@ -143,14 +144,14 @@ def solve_iterative(
 ) -> PropagationResult:
     """Jacobi-preconditioned conjugate gradients on L R = source^T from R = 0.
 
-    All k classes advance together as the contiguous rows of (k, n)
-    arrays, each with its own step sizes; the (n, k) ``scores`` are one
-    transpose made on return. Stops when the true residual satisfies
+    The nonzero source rows but the last advance together as contiguous
+    rows, each with its own step sizes; the last nonzero class is minus
+    their sum, and a zero row, such as an unlabelled class, stays exactly
+    zero. Stops when the true residual over all k classes satisfies
     ``max|source^T - L R| <= tol * max|source|`` (converged=True) or after
     ``graph.n`` iterations (converged=False, with a UserWarning; the last
     step and the true residual are on the result). ``final_step`` is the
-    max-norm of the last update. A zero source column, such as a class
-    with no label, stays exactly zero.
+    max-norm of the last update, over all k classes.
     ``on_iterate(t, scores)`` gets the (n, k) scores after each update
     when given; it must not mutate its argument.
     """
@@ -159,13 +160,21 @@ def solve_iterative(
     _check_system(graph, source)
     inv_deg = 1.0 / graph.degrees
     rhs = source.values  # (k, n): each class a contiguous row
+    live = np.flatnonzero(np.any(rhs, axis=1))
+    solved, derived = live[:-1], live[-1:]
+
+    def expand(part):  # (k, n) scores from the solved rows
+        full = np.zeros(rhs.shape, dtype=np.float64)
+        full[solved], full[derived] = part, -part.sum(axis=0)
+        return full
+
     residual_inf = float(np.abs(rhs).max())  # at R = 0
     bound = tol * residual_inf
-    scores = np.zeros(rhs.shape, dtype=np.float64)
-    resid = rhs
-    direction = np.zeros(rhs.shape, dtype=np.float64)
-    rz = np.zeros((rhs.shape[0], 1))
-    step = 0.0
+    resid = rhs[solved]
+    scores = np.zeros(resid.shape, dtype=np.float64)
+    direction = np.zeros(resid.shape, dtype=np.float64)
+    rz = np.zeros((resid.shape[0], 1))
+    update = scores
     t = 0
     # elementwise sums, no dense product: scores stay bit-identical across BLAS builds
     while residual_inf > bound and t < graph.n:
@@ -181,13 +190,14 @@ def solve_iterative(
         scores = scores + update
         resid = resid - alpha * lp
         t += 1
-        step = float(np.abs(update).max())
         if on_iterate is not None:
-            on_iterate(t, scores.T)
+            on_iterate(t, expand(scores).T)
         if np.abs(resid).max() <= bound or t == graph.n:
-            # the recurrence drifts from the true residual; confirm on it
-            resid = rhs - laplacian_apply(graph, scores.T).T
+            # the recurrence drifts from the true residual; confirm on it, over all k
+            resid = rhs - laplacian_apply(graph, expand(scores).T).T
             residual_inf = float(np.abs(resid).max())
+            resid = resid[solved]
+    step = float(np.abs(expand(update)).max())
     converged = residual_inf <= bound
     if not converged:
         # fixed text: per-call numbers would add a registry entry per call
@@ -197,7 +207,7 @@ def solve_iterative(
             stacklevel=2,
         )
     return PropagationResult(
-        scores=np.ascontiguousarray(scores.T),
+        scores=np.ascontiguousarray(expand(scores).T),
         iterations=t,
         final_step=step,
         converged=converged,

@@ -58,8 +58,11 @@ def _screen_corpus():
         "n-8m-minus-1": (rng.standard_normal((159, 4)), 10),  # a short last group
         "n-8m-plus-1": (rng.standard_normal((161, 4)), 10),
         # the far point's nearest tie exactly and its screen error grows with its
-        # own norm: fails with a zero margin, or without the margin's row term
+        # own norm: fails with a zero margin, or without the row bound's widening
         "far-row-ties": (np.vstack([lattice - 4.0, [[1e9, 0.0]]]), 3),
+        # row 2's three neighbours tie, and the margin folded into the GEMM lowers
+        # the far column 3 most: fails unless the row bound adds the largest margin
+        "folded-margin-ties": (np.array([[0.0], [0.0], [-1.0], [-2.0]]), 1),
         # at 1e-161 squared distances are float64 subnormals, and the screen's slack
         # for the recompute's underflow decides (without it these fail); at 1e-300
         # they underflow to 0, every pair must survive and no margin may overflow

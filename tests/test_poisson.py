@@ -160,6 +160,21 @@ class TestIterative:
         direct = solve_direct(graph, src)
         assert np.abs(res.scores[:, :2] - direct.scores[:, :2]).max() < 1e-6
 
+    @pytest.mark.parametrize("seed", range(1, 6))
+    @pytest.mark.parametrize("split", [(1, 5), (2, 4), (5, 1)])
+    def test_missing_last_class_stays_exactly_zero(self, seed, split):
+        # uneven counts make the label means inexact, so deriving the last
+        # class as minus the others' sum would leave it rounding noise
+        graph, _ = random_connected_system(seed)
+        labels = np.zeros((6, 3))
+        labels[: split[0], 0] = 1.0
+        labels[split[0] :, 1] = 1.0
+        with pytest.warns(UserWarning, match=r"classes \[2\]"):
+            src = build_source(labels, graph.n)
+        res = solve_iterative(graph, src, tol=1e-8)
+        assert res.converged
+        assert res.scores[:, 2].tobytes() == bytes(8 * graph.n)
+
     def test_scores_independent_of_blas_threads(self):
         script = (
             "import sys; from _util import random_connected_system; "
@@ -334,6 +349,28 @@ class TestIterative:
         res = solve_iterative(graph, src)
         neg = solve_iterative(graph, swapped)
         assert np.array_equal(neg.scores, -res.scores)
+
+    def test_three_classes_reported_over_every_column(self):
+        # two classes are solved and the third derived from them; the step and
+        # the true residual still cover all three
+        graph, source = random_connected_system(4)
+        assert source.k == 3 and np.all(source.labels.sum(axis=0) > 0)
+        iterates = []
+        res = solve_iterative(
+            graph, source, tol=1e-10, on_iterate=lambda t, s: iterates.append(s.copy())
+        )
+        residual = np.abs(source.values.T - laplacian_apply(graph, res.scores))
+        assert res.converged and res.residual_inf == residual.max()
+        assert res.final_step == pytest.approx(np.abs(iterates[-1] - iterates[-2]).max())
+        assert np.array_equal(res.scores, iterates[-1])
+
+    def test_two_classes_negate_bitwise_at_inexact_label_means(self):
+        # at n_s = 3 the source rows are not exact negatives, but the scores are
+        graph, _ = random_connected_system(2)
+        src = build_source(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]), graph.n)
+        assert not np.array_equal(src.values[1], -src.values[0])
+        res = solve_iterative(graph, src)
+        assert np.array_equal(res.scores[:, 1], -res.scores[:, 0])
 
     def test_block_permutation_equivariance(self):
         graph, source = random_connected_system(6)
