@@ -21,17 +21,11 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import KTooLarge, ShapeMismatch
+from .tensor import _as_float64
 
 DISTANCE_FLOOR = 1e-12
 _BLOCK_ROWS = 64
 _GROUP_WIDTH = 8
-
-
-def _as_points(points) -> np.ndarray:
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    if pts.ndim != 2:
-        raise ValueError("points must be an (n, C) array")
-    return pts
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,7 +44,7 @@ class VertexSet:
     k = 2  # background, foreground
 
     def __post_init__(self):
-        pts = _as_points(self.points)
+        pts = _as_float64(self.points, "points", 2)
         labels = np.asarray(self.labels, dtype=np.int64)
         if labels.ndim != 1:
             raise ValueError(f"labels must be a vector, got shape {labels.shape}")
@@ -161,8 +155,8 @@ def _screen_operands(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     n, channels = pts.shape
     centred = pts - pts.mean(axis=0)
     sq = np.einsum("ij,ij->i", centred, centred)
-    if not np.isfinite(8.0 * sq.max()):
-        raise ValueError("points must be finite, with squared distances in float64 range")
+    if not sq.max() < 2.0**1021:  # 8 max S stays finite, without an overflow warning
+        raise ValueError("points' squared distances overflow float64")
     exponent = (100 - int(np.frexp(sq.max())[1])) // 2
     rhs = np.empty((n, channels + 1), dtype=np.float32)
     np.multiply(centred, 2.0**exponent, out=rhs[:, :-1])
@@ -230,7 +224,7 @@ def build_weight_graph(points, k_neighbors: int) -> WeightedGraph:
     nearest neighbors of each vertex, then symmetrized by averaging the
     two directed entries (an absent entry counts as 0).
     """
-    pts = _as_points(points)
+    pts = _as_float64(points, "points", 2)
     n = pts.shape[0]
     if n < 2:
         raise ValueError("need at least 2 points")

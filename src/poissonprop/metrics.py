@@ -12,15 +12,8 @@ from .errors import ShapeMismatch
 from .tensor import _as_float64
 
 
-def _soft(values, name: str) -> np.ndarray:
-    arr = _as_float64(values, name)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D mask")
-    return arr
-
-
 def _binary(values, name: str) -> np.ndarray:
-    arr = _soft(values, name)
+    arr = _as_float64(values, name, 2)
     if not np.all(np.isin(arr, (0.0, 1.0))):
         raise ValueError(f"{name} must be strictly binary")
     return arr
@@ -33,8 +26,8 @@ def dice_loss(pred, target, eps: float = 1e-6) -> float:
     """
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    x = _soft(pred, "pred")
-    y = _soft(target, "target")
+    x = _as_float64(pred, "pred", 2)
+    y = _as_float64(target, "target", 2)
     if x.shape != y.shape:
         raise ShapeMismatch(f"mask dims differ: {x.shape} vs {y.shape}")
     intersection = float((x * y).sum())

@@ -28,9 +28,7 @@ class LinearParams:
     bias: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        w = _as_float64(self.weight, "weight")
-        if w.ndim != 2:
-            raise ValueError("weight must be a 2-D matrix")
+        w = _as_float64(self.weight, "weight", 2)
         b = _as_float64(self.bias, "bias") if self.bias is not None else np.zeros(w.shape[0])
         if b.shape != (w.shape[0],):
             raise ValueError(f"bias shape {b.shape} != ({w.shape[0]},)")

@@ -3,7 +3,8 @@ the foreground rule.
 
 All containers hold float64 data internally; 32-bit file inputs are
 widened at load time so long iterative runs do not accumulate
-single-precision drift.
+single-precision drift. Every array input passes one rule, ``_as_float64``:
+the right rank, non-empty and finite.
 """
 
 from __future__ import annotations
@@ -19,9 +20,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 ZERO_NORM_EPS = 1e-12
 
 
-def _as_float64(values, name: str) -> np.ndarray:
-    """``values`` as a finite, non-empty, contiguous float64 array."""
+def _as_float64(values, name: str, rank: int | None = None) -> np.ndarray:
+    """``values`` as contiguous float64, checked for rank ``rank`` (any if None),
+    then emptiness, then finiteness; each failure is a ``ValueError`` naming ``name``."""
     arr = np.ascontiguousarray(values, dtype=np.float64)
+    if rank is not None and arr.ndim != rank:
+        raise ValueError(f"{name} must be rank {rank}, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} dims must be positive, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -30,13 +34,9 @@ def _as_float64(values, name: str) -> np.ndarray:
 
 
 def _unit_interval(values, name: str) -> np.ndarray:
-    """``values`` as a non-empty (H, W) contiguous float64 array of values in [0, 1]."""
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError(
-            f"{name} must be rank 2 (H,W) and its dims must be positive, got shape {arr.shape}"
-        )
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails too
+    """``values`` as a valid rank-2 array (``_as_float64``) of values in [0, 1]."""
+    arr = _as_float64(values, name, 2)
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError(f"{name} values must lie in [0, 1]")
     return arr
 
@@ -81,10 +81,7 @@ class FeatureMap:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = _as_float64(self.data, "feature map")
-        if arr.ndim != 3:
-            raise ValueError(f"feature map must be rank 3 (C,H,W), got rank {arr.ndim}")
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _as_float64(self.data, "feature map", 3))
 
     @property
     def channels(self) -> int:

@@ -40,7 +40,7 @@ def save_tensor(path, tensor, dtype_code: int = DTYPE_F64) -> None:
     if dtype_code not in _NUMPY_DTYPES:
         raise UnknownDtype(f"unsupported dtype code {dtype_code}")
     if not isinstance(tensor, Tensor):
-        tensor = Tensor(np.asarray(tensor, dtype=np.float64))
+        tensor = Tensor(tensor)
     data = tensor.data
     if dtype_code == DTYPE_U8:
         rounded = np.rint(data)
@@ -72,8 +72,6 @@ def load_tensor(path) -> Tensor:
     if len(blob) < dims_end:
         raise TruncatedPayload(f"{path}: header cut short")
     dims = struct.unpack_from(f"<{rank}I", blob, offset)
-    if any(d == 0 for d in dims):
-        raise ValueError(f"{path}: dims must be positive, got {dims}")
     dtype = _NUMPY_DTYPES[dtype_code]
     count = math.prod(dims)
     expected = dims_end + count * dtype.itemsize
@@ -85,5 +83,5 @@ def load_tensor(path) -> Tensor:
     flat = np.frombuffer(blob, dtype=dtype, count=count, offset=dims_end)
     try:
         return Tensor(flat.astype(np.float64).reshape(dims))
-    except ValueError as err:  # a non-finite payload
+    except ValueError as err:  # an empty or non-finite payload
         raise ValueError(f"{path}: {err}") from err

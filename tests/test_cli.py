@@ -145,7 +145,7 @@ class TestGraphPropagate:
         save_tensor(feat, np.zeros((2, 2, 2)))
         code = main(["graph", "--features", str(feat), "--out", str(tmp_path / "g.t")])
         assert code == 1
-        assert capsys.readouterr().err == "error: ValueError: points must be an (n, C) array\n"
+        assert capsys.readouterr().err == "error: ValueError: points must be rank 2, got shape (2, 2, 2)\n"
 
 
 class TestDice:
@@ -476,9 +476,9 @@ class TestManifestErrors:
         "key, data, message",
         [
             ("support_features", np.zeros((16, 16)),
-             "feature map must be rank 3 (C,H,W), got rank 2"),
+             "feature map must be rank 3, got shape (16, 16)"),
             ("query_mask", np.zeros((1, 16, 16)),
-             "mask must be rank 2 (H,W) and its dims must be positive, got shape (1, 16, 16)"),
+             "mask must be rank 2, got shape (1, 16, 16)"),
         ],
     )
     def test_bad_rank_named_by_container(self, tmp_path, capsys, key, data, message):

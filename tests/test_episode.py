@@ -315,6 +315,24 @@ class TestDegenerateEpisodes:
         assert len(record) == 1
         assert np.all(res.propagation.scores == 0.0)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="a support with no foreground prototype gives a zero source, a confidence "
+        "of exactly 0.5 everywhere, and the tie rule >= 0.5 marks every pixel "
+        "foreground (256 of 256, dsc 0.031)",
+    )
+    def test_support_without_foreground_prototype_predicts_no_foreground(self):
+        # 4 truth pixels split across four 4x4 windows: no window is half
+        # foreground, so every prototype is labelled background
+        def spec(seed):
+            return dataclasses.replace(two_blob_spec(seed), center=(7.5, 7.5), size=1.0)
+
+        with pytest.warns(UserWarning, match="share one class"):
+            results = [run_episode(pp.synth_episode(spec(s))[0]) for s in range(4)]
+        for res in results:
+            assert res.mask_poisson.sum() == 0
+
     def test_all_zero_support_mask_raises_degenerate(self):
         ep, _ = pp.synth_episode(two_blob_spec(10))
         empty = SoftMask(np.zeros((16, 16)))

@@ -176,8 +176,15 @@ class TestKnnDistances:
             _knn(LINE, 3)
 
     def test_non_finite_points_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=r"^points contains NaN or Inf$"):
             build_weight_graph(np.array([[0.0], [np.nan], [1.0]]), 1)
+
+    @pytest.mark.parametrize("scale", [1e154, 1e200])
+    def test_overflowing_squared_distances_rejected(self, scale):
+        # finite points; at 1e154 the largest squared norm is finite but 8 times it is
+        # not, and the error must come without numpy's overflow warning
+        with pytest.raises(ValueError, match=r"^points' squared distances overflow float64$"):
+            build_weight_graph(np.array([[0.0], [scale], [-scale]]), 1)
 
 
 class TestBuildWeightGraph:

@@ -1,9 +1,25 @@
+import struct
+
 import numpy as np
 import pytest
 
 from _util import cosine
-from poissonprop import FeatureMap, SoftMask, Tensor, avg_pool, downsample_mask
+from poissonprop import (
+    ConfidenceMap,
+    FeatureMap,
+    LinearParams,
+    SoftMask,
+    Tensor,
+    VertexSet,
+    avg_pool,
+    build_weight_graph,
+    dice_loss,
+    downsample_mask,
+    dsc,
+    load_tensor,
+)
 from poissonprop.errors import ShapeMismatch
+from poissonprop.tensorfile import DTYPE_F64, MAGIC
 
 
 def _loop_avg_pool(data, window):
@@ -60,6 +76,61 @@ class TestContainers:
         vecs = fmap.pixel_vectors()
         # pixel (0, 1) holds channels [1, 5]
         assert np.array_equal(vecs[1], [1.0, 5.0])
+
+
+def _load_written(values, tmp_path):
+    """``load_tensor`` of a float64 file holding ``values``, whatever its dims."""
+    arr = np.asarray(values, dtype="<f8")
+    path = tmp_path / "t.t"
+    header = MAGIC + struct.pack(f"<BB{arr.ndim}I", DTYPE_F64, arr.ndim, *arr.shape)
+    path.write_bytes(header + arr.tobytes())
+    return load_tensor(path)
+
+
+_ONES = np.ones((2, 2))
+
+# every entry point of the one array rule: (name in the message, rank or None for any, call)
+_ARRAY_INPUTS = {
+    "Tensor": ("tensor data", None, lambda v, _: Tensor(v)),
+    "FeatureMap": ("feature map", 3, lambda v, _: FeatureMap(v)),
+    "SoftMask": ("mask", 2, lambda v, _: SoftMask(v)),
+    "ConfidenceMap": ("confidence map", 2, lambda v, _: ConfidenceMap(v)),
+    "build_weight_graph": ("points", 2, lambda v, _: build_weight_graph(v, 1)),
+    "VertexSet": ("points", 2, lambda v, _: VertexSet(v, [0], 0)),
+    "dsc-pred": ("pred", 2, lambda v, _: dsc(v, _ONES)),
+    "dsc-target": ("target", 2, lambda v, _: dsc(_ONES, v)),
+    "dice_loss-pred": ("pred", 2, lambda v, _: dice_loss(v, _ONES)),
+    "dice_loss-target": ("target", 2, lambda v, _: dice_loss(_ONES, v)),
+    "LinearParams": ("weight", 2, lambda v, _: LinearParams(v, None)),
+    "load_tensor": ("tensor data", None, _load_written),
+}
+
+
+def _rule_cases():
+    """(entry, values, message) for a wrong rank, an empty array and a NaN."""
+    for entry, (name, rank, _) in _ARRAY_INPUTS.items():
+        r = rank or 2
+        if rank is not None:  # all NaN too: rank comes first
+            low = (2,) * (r - 1)
+            yield pytest.param(entry, np.full(low, np.nan),
+                               f"{name} must be rank {rank}, got shape {low}", id=f"{entry}-rank")
+        empty = (2,) * (r - 1) + (0,)
+        yield pytest.param(entry, np.zeros(empty),
+                           f"{name} dims must be positive, got {empty}", id=f"{entry}-empty")
+        nan = np.full((2,) * r, 0.5)
+        nan.flat[-1] = np.nan
+        yield pytest.param(entry, nan, f"{name} contains NaN or Inf", id=f"{entry}-nan")
+
+
+@pytest.mark.parametrize("entry, values, message", _rule_cases())
+def test_one_array_rule(tmp_path, entry, values, message):
+    # a rank, then emptiness, then finiteness, in the same words everywhere;
+    # a tensor file's error also names the file
+    if entry == "load_tensor":
+        message = f"{tmp_path / 't.t'}: {message}"
+    with pytest.raises(ValueError) as info:
+        _ARRAY_INPUTS[entry][2](values, tmp_path)
+    assert str(info.value) == message
 
 
 class TestAvgPool:
