@@ -41,6 +41,9 @@ class EpisodeConfig:
         w = self.window
         if not (isinstance(w, tuple) and len(w) == 2 and all(_is_a(v, int) for v in w)):
             raise TypeError(f"window: expected two integers (h, w), got {w!r}")
+        for name, kind in (("sim_params", LinearParams), ("calibration_params", TwoLayerParams)):
+            if not isinstance(value := getattr(self, name), (kind, type(None))):
+                raise TypeError(f"{name}: expected {kind.__name__}, got {value!r}")
         if self.prediction_mode not in PREDICTION_MODES:
             raise ValueError(
                 f"prediction_mode must be one of {PREDICTION_MODES}, "

@@ -44,5 +44,4 @@ def masked_average_pool(fmap: FeatureMap, mask: SoftMask) -> np.ndarray:
     total = float(mask.data.sum())
     if total <= 0.0:
         raise DegenerateMask("mask sums to zero; no pixels to pool")
-    weighted = (fmap.data * mask.data[None, :, :]).sum(axis=(1, 2))
-    return weighted / total
+    return fmap.data.reshape(fmap.channels, -1) @ mask.data.ravel() / total

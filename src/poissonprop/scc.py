@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ShapeMismatch
 from .poisson import ConfidenceMap
-from .tensor import FeatureMap, _as_float64, _unit_rows
+from .tensor import FeatureMap, _as_float64, _norms
 
 _BLOCK_ROWS = 64
 
@@ -78,30 +78,26 @@ def similarity_map(
     """Compare every query pixel against the global prototype.
 
     Default mode emits a single channel holding the cosine similarity
-    between each pixel vector and the prototype. With ``params``, each
-    pixel's concatenation (pixel vector, prototype) is passed through
-    the affine map instead, acting as a 1x1 convolution with loadable
-    weights.
+    ``(proto @ pixel) / (|pixel| * |proto|)``, 0 where either norm is
+    below 1e-12. With ``params``, each pixel's concatenation (pixel
+    vector, prototype) is passed through the affine map instead, acting
+    as a 1x1 convolution with loadable weights. Both read the map as
+    (C, H*W), with no per-pixel copy.
     """
+    c, h, w = query.data.shape
     vec = _as_float64(proto, "prototype")
-    if vec.ndim != 1 or vec.shape[0] != query.channels:
-        raise ShapeMismatch(
-            f"prototype length {vec.shape} != query channels {query.channels}"
-        )
-    pixels = query.pixel_vectors()  # (HW, C)
-    h, w = query.height, query.width
+    if vec.shape != (c,):
+        raise ShapeMismatch(f"prototype length {vec.shape} != query channels {c}")
+    flat = query.data.reshape(c, h * w)
     if params is None:
-        sims = _unit_rows(pixels) @ _unit_rows(vec[None, :])[0]
+        # one norm routine for both sides keeps cos(u, v) == cos(v, u) bit for bit
+        norms = _norms(flat, 0) * _norms(vec[:, None], 0)
+        sims = np.divide(vec @ flat, norms, out=np.zeros(h * w), where=norms > 0.0)
         return FeatureMap(np.clip(sims, -1.0, 1.0).reshape(1, h, w))
-    if params.in_dim != 2 * query.channels:
-        raise ShapeMismatch(
-            f"params expect {params.in_dim} inputs, need {2 * query.channels}"
-        )
-    stacked = np.concatenate(
-        [pixels, np.broadcast_to(vec, pixels.shape)], axis=1
-    )
-    out = params.apply(stacked)  # (HW, C')
-    return FeatureMap(out.T.reshape(params.out_dim, h, w))
+    if params.in_dim != 2 * c:
+        raise ShapeMismatch(f"params expect {params.in_dim} inputs, need {2 * c}")
+    out = params.weight[:, :c] @ flat + (params.weight[:, c:] @ vec + params.bias)[:, None]
+    return FeatureMap(out.reshape(params.out_dim, h, w))
 
 
 def fuse_confidence(sim: FeatureMap, conf: ConfidenceMap) -> FeatureMap:
@@ -130,7 +126,8 @@ def spatial_consistency_calibrate(
         raise ShapeMismatch(
             f"transform expects {transform.in_dim} channels, map has {c}"
         )
-    unit = _unit_rows(pixels)
+    norms = _norms(pixels, 1)[:, None]
+    unit = np.divide(pixels, norms, out=np.zeros_like(pixels), where=norms > 0.0)
     target = pixels if transform is None else transform.apply(pixels)
     n_px, c_out = target.shape
     if c == 1:  # max(cos, 0) is 1 within a sign class and 0 across

@@ -1,5 +1,5 @@
-"""Dense tensor containers, pooling, the zero-norm row normalization and
-the foreground rule.
+"""Dense tensor containers, pooling, the zero-norm rule and the foreground
+rule.
 
 All containers hold float64 data internally; 32-bit file inputs are
 widened at load time so long iterative runs do not accumulate
@@ -130,13 +130,12 @@ def avg_pool(fmap: FeatureMap, window: tuple[int, int]) -> FeatureMap:
     return FeatureMap(out)
 
 
-def _unit_rows(vectors: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit norm; a row with norm below 1e-12 becomes zero."""
-    norms = np.linalg.norm(vectors, axis=1)
-    unit = np.zeros_like(vectors)
-    ok = norms >= ZERO_NORM_EPS
-    unit[ok] = vectors[ok] / norms[ok, None]
-    return unit
+def _norms(vectors: np.ndarray, axis: int) -> np.ndarray:
+    """Euclidean norms along ``axis``, the library's one zero-norm rule: a
+    norm below 1e-12 reads 0, and a vector with norm 0 compares as 0."""
+    norms = np.linalg.norm(vectors, axis=axis)
+    norms[norms < ZERO_NORM_EPS] = 0.0
+    return norms
 
 
 def downsample_mask(mask: SoftMask, window: tuple[int, int]) -> SoftMask:

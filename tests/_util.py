@@ -12,6 +12,7 @@ from poissonprop.graph import WeightedGraph, component_count, laplacian_apply
 from poissonprop.poisson import LabelSource, PropagationResult, _check_system
 
 UNIT8 = np.ones(8) / np.sqrt(8)
+DRIFT8 = np.array([1.0, -1.0, 0, 0, 0, 0, 0, 0]) / np.sqrt(2)  # orthogonal to UNIT8
 DIRECT_SOLVE_LIMIT = 2000
 
 
@@ -149,4 +150,37 @@ def aligned_rect_spec(seed: int, separation: float = 2.5) -> pp.SynthSpec:
         size=(8, 8),
         seed=seed,
         n_auxiliary=2,
+    )
+
+
+def drift_episode(seed: int, drift: float, n_auxiliary: int, separation: float = 4.0) -> pp.Episode:
+    """32x32, C = 8 episode whose query's class means are shifted by
+    ``drift * DRIFT8`` from the support's, orthogonal to the class axis,
+    and whose auxiliary map i of m is shifted by ``drift * (i + 1) / (m + 1)``
+    in between, so only the auxiliary prototypes bridge the gap.
+
+    Each map, with its mask, is the query of its own ``synth_episode``
+    call on the same radius-9 disk with shifted means, so the episode is
+    built from public calls only. Map j (support 0, query 1, auxiliary
+    maps from 2) of seed s draws its noise from seed ``1000 * s + j``.
+    """
+    def draw(shift: float, stream: int) -> pp.Episode:
+        spec = pp.SynthSpec(
+            channels=8, height=32, width=32,
+            fg_mean=0.6 * separation * UNIT8 + shift * DRIFT8,
+            bg_mean=-0.4 * separation * UNIT8 + shift * DRIFT8,
+            noise_scale=1.0, shape="disk", center=(0.484 * 32, 0.528 * 32), size=9.0,
+            seed=1000 * seed + stream, n_auxiliary=0,
+        )
+        return pp.synth_episode(spec)[0]
+
+    support, query = draw(0.0, 0), draw(drift, 1)
+    auxiliary = tuple(
+        draw(drift * (i + 1) / (n_auxiliary + 1), 2 + i).query for i in range(n_auxiliary)
+    )
+    return pp.Episode(
+        support=(support.query, support.query_mask),
+        auxiliary=auxiliary,
+        query=query.query,
+        query_mask=query.query_mask,
     )

@@ -97,6 +97,18 @@ class TestMaskedAveragePool:
         b = masked_average_pool(fmap44, SoftMask(weights * 0.125))
         assert np.allclose(a, b, atol=1e-12)
 
+    @pytest.mark.parametrize("channels", [1, 8, 256])
+    def test_matches_broadcast_reference(self, channels):
+        rng = np.random.default_rng(channels)
+        data = rng.standard_normal((channels, 6, 5))
+        data[:, 0, :] = 0.0  # zero-norm pixels
+        weights = rng.uniform(0.0, 1.0, (6, 5))
+        weights[:, 0] = 0.0
+        got = masked_average_pool(FeatureMap(data), SoftMask(weights))
+        # the route the matrix-vector product replaced: a C x H x W weighted copy
+        want = (data * weights[None, :, :]).sum(axis=(1, 2)) / weights.sum()
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(data).max()
+
     def test_output_in_convex_hull(self, fmap44):
         rng = np.random.default_rng(12)
         weights = rng.uniform(0.0, 1.0, (4, 4))

@@ -23,14 +23,32 @@ def _conf(values):
     return ConfidenceMap(np.asarray(values, dtype=np.float64))
 
 
+def _reference_unit_rows(rows):
+    """Each row over its norm, through a boolean-masked copy; zero below 1e-12."""
+    norms = np.linalg.norm(rows, axis=1)
+    unit = np.zeros_like(rows)
+    ok = norms >= ZERO_NORM_EPS
+    unit[ok] = rows[ok] / norms[ok, None]
+    return unit
+
+
+def _reference_similarity(query, proto, params=None):
+    """The routes the closed forms replaced: unit pixel rows times the unit
+    prototype, or each concatenated (pixel, prototype) row through the layer."""
+    c, h, w = query.data.shape
+    pixels = query.pixel_vectors()
+    if params is None:
+        sims = _reference_unit_rows(pixels) @ _reference_unit_rows(proto[None, :])[0]
+        return np.clip(sims, -1.0, 1.0).reshape(1, h, w)
+    stacked = np.concatenate([pixels, np.broadcast_to(proto, pixels.shape)], axis=1)
+    return (stacked @ params.weight.T + params.bias).T.reshape(-1, h, w)
+
+
 def _reference_calibrate(fused, transform=None):
     """Elementwise calibration kernel, the route the blocked GEMM replaced."""
     c, h, w = fused.data.shape
     pixels = fused.pixel_vectors()
-    norms = np.linalg.norm(pixels, axis=1)
-    unit = np.zeros_like(pixels)
-    ok = norms >= ZERO_NORM_EPS
-    unit[ok] = pixels[ok] / norms[ok, None]
+    unit = _reference_unit_rows(pixels)
     target = pixels if transform is None else transform.apply(pixels)
     n_px, c_out = target.shape
     out = np.empty((n_px, c_out), dtype=np.float64)
@@ -114,6 +132,25 @@ class TestSimilarityMap:
     def test_prototype_length_checked(self):
         with pytest.raises(ShapeMismatch):
             similarity_map(FeatureMap(np.zeros((3, 2, 2))), np.zeros(2))
+
+    @pytest.mark.parametrize("head", [False, True], ids=["cosine", "head"])
+    @pytest.mark.parametrize("proto_kind", ["random", "zero"])
+    @pytest.mark.parametrize("channels", [1, 8, 256])
+    def test_matches_elementwise_reference(self, channels, proto_kind, head):
+        rng = np.random.default_rng(channels)
+        data = rng.standard_normal((channels, 6, 5))
+        data[:, 0, :] = 0.0  # zero-norm pixels
+        data[:, 1, 0] = 1e-13 / np.sqrt(channels)  # norm below the threshold
+        proto = rng.standard_normal(channels) if proto_kind == "random" else np.zeros(channels)
+        params = None
+        if head:
+            params = LinearParams(rng.standard_normal((4, 2 * channels)), rng.standard_normal(4))
+        got = similarity_map(FeatureMap(data), proto, params).data
+        want = _reference_similarity(FeatureMap(data), proto, params)
+        # relative to the largest output: a zero prototype's cosines must be exactly 0
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        if not head:
+            assert np.all(got[0, 0, :] == 0.0) and got[0, 1, 0] == 0.0
 
     def test_param_width_checked(self):
         params = LinearParams(np.zeros((1, 4)), np.zeros(1))
