@@ -132,8 +132,9 @@ def run_episode(ep: Episode) -> EpisodeResult:
         for aux in ep.auxiliary
     ]
     aux_protos = np.concatenate([np.empty((0, sup_map.channels)), *aux_pools])
+    pixels = ep.query.data.reshape(ep.query.channels, -1).T  # a view; concatenate copies once
     vertices = VertexSet(
-        points=np.concatenate([sup_protos, aux_protos, ep.query.pixel_vectors()]),
+        points=np.concatenate([sup_protos, aux_protos, pixels]),
         labels=labels,
         n_a=len(aux_protos),
     )

@@ -9,7 +9,9 @@ two and with a proven rounding margin folded into its operand, screens
 all pairs against each row's K-th distance, bounded from minima over
 strided column groups and widened by the margin; survivors' distances
 are recomputed elementwise in float64, so the graph is bit-identical for
-any BLAS build or thread count, in O(block * n) memory.
+any BLAS build or thread count. A row block is 64 rows, or up to C + 1
+rows within 2^18 screen entries at wide C, and survivors are recomputed
+in cache-sized chunks of about 2^16 / C, in O(block * n) memory.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from .errors import KTooLarge, ShapeMismatch
 from .tensor import _as_float64
 
 DISTANCE_FLOOR = 1e-12
-_BLOCK_ROWS = 64
+_BLOCK_ROWS = 64  # the least screen height
+_SCREEN_ELEMENTS = 2**18  # the most float32 screen entries in a taller block: 1 MB
+_CHUNK_ELEMENTS = 2**16  # float64 recompute entries per survivor chunk: 512 kB, cache-sized
 _GROUP_WIDTH = 8
 
 
@@ -180,9 +184,13 @@ def _knn(pts: np.ndarray, k_neighbors: int) -> tuple[np.ndarray, np.ndarray]:
     by (distance, index). A float32 GEMM screen keeps every candidate
     that could be among the K nearest under its rounding margin;
     survivors are recomputed elementwise in float64, so the result never
-    depends on BLAS rounding, and working memory is O(block * n).
+    depends on BLAS rounding. A block is max(64, min(C + 1, 2^18 // n))
+    rows; survivors are recomputed max(1, 2^16 // C) at a time in one
+    reused buffer, each distance still one contiguous length-C sum, so
+    block and chunk sizes never change a byte. Working memory is
+    O(block * n).
     """
-    n = pts.shape[0]
+    n, channels = pts.shape
     if k_neighbors < 1:
         raise ValueError("K must be positive")
     if k_neighbors > n - 1:
@@ -192,11 +200,16 @@ def _knn(pts: np.ndarray, k_neighbors: int) -> tuple[np.ndarray, np.ndarray]:
     whole = n - n % groups  # columns past it top up the first groups
     neighbors = np.empty((n, k_neighbors), dtype=np.int64)
     sq_dists = np.empty((n, k_neighbors), dtype=np.float64)
+    # a taller block packs the GEMM's (n, C + 1) operand fewer times, which pays up
+    # to C + 1 rows; at narrow C it only hands BLAS threads a GEMM too small for them
+    height = max(_BLOCK_ROWS, min(channels + 1, _SCREEN_ELEMENTS // n))
+    chunk = max(1, _CHUNK_ELEMENTS // channels)
+    buffer = np.empty((chunk, channels))
     # inline, not a per-block function: each block's arrays live until the
     # next block rebinds them, so the allocator reuses their pages instead
     # of releasing and faulting them in again (half the time at n=5120)
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n)
+    for lo in range(0, n, height):
+        hi = min(lo + height, n)
         local = np.arange(hi - lo)
         screen = lhs[lo:hi] @ rhs.T
         screen[local, lo + local] = np.inf
@@ -207,8 +220,14 @@ def _knn(pts: np.ndarray, k_neighbors: int) -> tuple[np.ndarray, np.ndarray]:
         keep = screen <= bound[:, None]
         keep[local, lo + local] = False
         rows, cols = np.divmod(np.flatnonzero(keep), n)
-        diff = pts[lo + rows] - pts[cols]
-        d2 = np.sum(diff * diff, axis=-1)
+        d2 = np.empty(rows.size)
+        for start in range(0, rows.size, chunk):  # (x_j - x_i)^2 == (x_i - x_j)^2 bitwise
+            part = slice(start, start + chunk)
+            # cols are in range; "clip" writes straight to out, where "raise" buffers
+            diff = np.take(pts, cols[part], axis=0, out=buffer[: d2[part].size], mode="clip")
+            np.subtract(diff, pts[lo + rows[part]], out=diff)
+            np.multiply(diff, diff, out=diff)
+            np.add.reduce(diff, axis=-1, out=d2[part])
         order = np.lexsort((d2, rows))  # stable, and cols ascend within a row
         first = np.searchsorted(rows, local)
         picked = order[first[:, None] + np.arange(k_neighbors)]

@@ -8,9 +8,10 @@ capture on pool episode 0. It also runs the benchmark's own correctness
 checks from ``perfbench/checks.py`` on that episode: the kNN edges and the
 calibrated map recomputed from the inputs (within the checks' rtol of
 1e-9), so a rounding change in the similarity or calibration shows here
-too. As in ``test_benchmark_targets.py``, the perfbench sources are read
-and executed here, never imported as modules, so nothing is written next
-to them.
+too. On wide-channels every kNN row is also compared byte for byte with
+the full-table reference. As in ``test_benchmark_targets.py``, the
+perfbench sources are read and executed here, never imported as modules,
+so nothing is written next to them.
 """
 
 import sys
@@ -20,7 +21,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _util import _reference_knn
 from poissonprop import run_episode
+from poissonprop.graph import _knn
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SAMPLE = 16  # graph rows and calibrated pixels checked, as the benchmark samples
@@ -56,3 +59,16 @@ def test_workload_runs_pool_episode_zero(name, tmp_path):
     rng = np.random.default_rng(0)
     CHECKS.check_knn(result.graph, result.vertex_set.points, ep.config.knn_k, rng, SAMPLE)
     CHECKS.check_calibrated(ep, outputs.confidence, outputs.calibrated, rng, SAMPLE)
+
+
+def test_wide_channels_knn_every_row(tmp_path):
+    # n = 1280 at C = 256: the screen's row blocks and the recompute's survivor
+    # chunks both split here, and check_knn above samples only 16 rows
+    wl = WL.WORKLOADS["wide-channels"]
+    ep = WL.set_up(wl, 1, tmp_path).episodes[0]
+    points = run_episode(ep).vertex_set.points
+    assert points.shape == (1280, 256)
+    neighbors, sq_dists = _knn(points, ep.config.knn_k)
+    ref_neighbors, ref_sq_dists = _reference_knn(points, ep.config.knn_k)
+    assert neighbors.tobytes() == ref_neighbors.tobytes()
+    assert sq_dists.tobytes() == ref_sq_dists.tobytes()

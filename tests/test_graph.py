@@ -12,6 +12,7 @@ from poissonprop import (
     VertexSet,
     build_weight_graph,
     from_triplets,
+    graph,
     laplacian_apply,
     to_triplets,
 )
@@ -117,6 +118,23 @@ class TestExactKnnEquivalence:
         assert neighbors.tobytes() == ref_neighbors.tobytes()
         assert sq_dists.tobytes() == ref_sq_dists.tobytes()
 
+    @pytest.mark.parametrize(
+        "rows, survivors",
+        [(1, 1), (3, 5)],
+        ids=["1-row-blocks-1-survivor-chunks", "3-row-blocks-5-survivor-chunks"],
+    )
+    def test_knn_byte_equal_across_block_and_chunk_edges(self, case, rows, survivors, monkeypatch):
+        # at the default sizes no corpus case (n <= 193) spans more than four blocks,
+        # and only the C = 256 cases more than one chunk
+        points, k = EQUIVALENCE_CORPUS[case]
+        monkeypatch.setattr(graph, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(graph, "_SCREEN_ELEMENTS", 0)
+        monkeypatch.setattr(graph, "_CHUNK_ELEMENTS", survivors * points.shape[1])
+        neighbors, sq_dists = _knn(points, k)
+        ref_neighbors, ref_sq_dists = _reference_knn(points, k)
+        assert neighbors.tobytes() == ref_neighbors.tobytes()
+        assert sq_dists.tobytes() == ref_sq_dists.tobytes()
+
 
 def test_graph_build_memory_is_linear():
     # a full n x n float64 table alone would be 128 MB here
@@ -130,14 +148,9 @@ def test_graph_build_memory_is_linear():
     assert peak < 64 * 2**20
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="duplicate points: every exact duplicate of a point survives the GEMM "
-    "screen, so each 64-row block recomputes (64 x duplicates x C) differences; "
-    "1024 points in two duplicate groups at C=32 peak at 27 MB, distinct points at 3 MB",
-)
 def test_graph_build_memory_on_duplicate_points():
+    # every duplicate survives the screen; the recompute holds one chunk of
+    # differences at a time (about 3 MB peak here)
     centres = np.random.default_rng(33).standard_normal((2, 32))
     points = centres[np.arange(1024) % 2]
     tracemalloc.start()
@@ -147,6 +160,28 @@ def test_graph_build_memory_on_duplicate_points():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="duplicate points: every exact duplicate of a point survives the GEMM "
+    "screen, so each row recomputes and sorts (duplicates x C) differences and the "
+    "build is quadratic in the group size; 4096 points in two duplicate groups at "
+    "C=64 take about 20 times as long as distinct points (1.4 s against 0.07 s)",
+)
+def test_graph_build_time_on_duplicate_points():
+    rng = np.random.default_rng(33)
+    distinct = rng.standard_normal((4096, 64))
+    duplicates = rng.standard_normal((2, 64))[np.arange(4096) % 2]
+
+    def seconds(points):
+        start = time.perf_counter()
+        build_weight_graph(points, 10)
+        return time.perf_counter() - start
+
+    baseline = min(seconds(distinct) for _ in range(3))
+    assert seconds(duplicates) < 4 * baseline
 
 
 class TestKnnDistances:
