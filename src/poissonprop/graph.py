@@ -78,16 +78,17 @@ class VertexSet:
         return out
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class WeightedGraph:
-    """Symmetric nonnegative sparse weights with zero diagonal; the row
-    sums ``degrees`` are computed once, as the solver reads them often."""
+    """Symmetric nonnegative sparse weights with zero diagonal, in the
+    graph's own copy; the row sums ``degrees`` are computed once, as the
+    solver reads them often."""
 
     weights: sp.csr_matrix
     degrees: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        w = sp.csr_matrix(self.weights)
+        w = sp.csr_matrix(self.weights, copy=True)
         w.sum_duplicates()
         if w.shape[0] != w.shape[1]:
             raise ValueError("weight matrix must be square")
@@ -107,8 +108,8 @@ class WeightedGraph:
                 f"every vertex must have positive degree; zero degree at index "
                 f"{shown} ({zero.size} of {len(degrees)} vertices)"
             )
-        self.weights = w
-        self.degrees = degrees
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "degrees", degrees)
 
     @property
     def n(self) -> int:

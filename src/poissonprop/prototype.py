@@ -17,9 +17,9 @@ def local_prototype_pool(fmap: FeatureMap, window: tuple[int, int]) -> np.ndarra
     """Pool a feature map into a (cells, C) array, one row per grid cell.
 
     Cells are in row-major order over the pooled grid; the windows
-    tile the map, so cells do not overlap.
+    tile the map, so cells do not overlap. The rows view the pooled map.
     """
-    return avg_pool(fmap, window).pixel_vectors()
+    return avg_pool(fmap, window).data.reshape(fmap.channels, -1).T
 
 
 def assign_prototype_labels(grid_mask: SoftMask) -> np.ndarray:

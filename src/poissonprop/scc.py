@@ -17,7 +17,7 @@ from .errors import ShapeMismatch
 from .poisson import ConfidenceMap
 from .tensor import FeatureMap, _as_float64, _norms
 
-_BLOCK_ROWS = 64
+_BLOCK_PIXELS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,9 +43,9 @@ class LinearParams:
     def out_dim(self) -> int:
         return self.weight.shape[0]
 
-    def apply(self, vectors: np.ndarray) -> np.ndarray:
-        """Apply to an (n, C_in) batch of vectors."""
-        return vectors @ self.weight.T + self.bias
+    def apply(self, columns: np.ndarray) -> np.ndarray:
+        """Apply to a (C_in, n) batch of column vectors, giving (C_out, n)."""
+        return self.weight @ columns + self.bias[:, None]
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,8 @@ class TwoLayerParams:
     def in_dim(self) -> int:
         return self.first.in_dim
 
-    def apply(self, vectors: np.ndarray) -> np.ndarray:
-        hidden = np.maximum(self.first.apply(vectors), 0.0)
-        return self.second.apply(hidden)
+    def apply(self, columns: np.ndarray) -> np.ndarray:
+        return self.second.apply(np.maximum(self.first.apply(columns), 0.0))
 
 
 def similarity_map(
@@ -118,27 +117,28 @@ def spatial_consistency_calibrate(
     with near-zero norm take similarity 0 to everything. The transform
     defaults to identity. A one-channel map's cosines are -1, 0 or 1, so
     each of its pixels averages over its own sign class: O(HW) time and
-    memory. Wider maps take O(HW^2 C) time in blocks of 64 rows.
+    memory. Wider maps take O(HW^2 C) time in blocks of 64 pixels. Both
+    read the map as (C, H*W), with no per-pixel copy.
     """
     c, h, w = fused.data.shape
-    pixels = fused.pixel_vectors()  # (HW, C)
     if transform is not None and transform.in_dim != c:
         raise ShapeMismatch(
             f"transform expects {transform.in_dim} channels, map has {c}"
         )
-    norms = _norms(pixels, 1)[:, None]
-    unit = np.divide(pixels, norms, out=np.zeros_like(pixels), where=norms > 0.0)
-    target = pixels if transform is None else transform.apply(pixels)
-    n_px, c_out = target.shape
+    flat = fused.data.reshape(c, h * w)
+    norms = _norms(flat, 0)
+    unit = np.divide(flat, norms, out=np.zeros_like(flat), where=norms > 0.0)
+    target = flat if transform is None else transform.apply(flat)
+    c_out, n_px = target.shape
     if c == 1:  # max(cos, 0) is 1 within a sign class and 0 across
-        out = np.zeros((n_px, c_out), dtype=np.float64)
-        for members in (unit[:, 0] == -1.0, unit[:, 0] == 1.0):
-            out[members] = target[members].sum(axis=0) / n_px
+        out = np.zeros((c_out, n_px), dtype=np.float64)
+        for members in (unit[0] == -1.0, unit[0] == 1.0):
+            out[:, members] = target[:, members].sum(axis=1, keepdims=True) / n_px
     else:
-        out = np.empty((n_px, c_out), dtype=np.float64)
-        # row blocks keep the similarity table at O(block * HW)
-        for lo in range(0, n_px, _BLOCK_ROWS):
-            sims = unit[lo : lo + _BLOCK_ROWS] @ unit.T
+        out = np.empty((c_out, n_px), dtype=np.float64)
+        # column blocks keep the similarity table at O(HW * block)
+        for lo in range(0, n_px, _BLOCK_PIXELS):
+            sims = unit.T @ unit[:, lo : lo + _BLOCK_PIXELS]
             np.maximum(sims, 0.0, out=sims)
-            out[lo : lo + _BLOCK_ROWS] = sims @ target / n_px
-    return FeatureMap(out.T.reshape(c_out, h, w))
+            out[:, lo : lo + _BLOCK_PIXELS] = target @ sims / n_px
+    return FeatureMap(out.reshape(c_out, h, w))

@@ -95,11 +95,6 @@ class FeatureMap:
     def width(self) -> int:
         return self.data.shape[2]
 
-    def pixel_vectors(self) -> np.ndarray:
-        """All pixel feature vectors, row-major, as an (H*W, C) array."""
-        c, h, w = self.data.shape
-        return self.data.reshape(c, h * w).T.copy()
-
 
 @dataclass(frozen=True, eq=False)
 class SoftMask:

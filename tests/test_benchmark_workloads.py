@@ -9,11 +9,15 @@ checks from ``perfbench/checks.py`` on that episode: the kNN edges and the
 calibrated map recomputed from the inputs (within the checks' rtol of
 1e-9), so a rounding change in the similarity or calibration shows here
 too. On wide-channels every kNN row is also compared byte for byte with
-the full-table reference. As in ``test_benchmark_targets.py``, the
-perfbench sources are read and executed here, never imported as modules,
-so nothing is written next to them.
+the full-table reference. The small-episodes workload writes its episode
+directories with its own copy of the manifest and tensor file format, so
+that copy is checked against the library's writer. As in
+``test_benchmark_targets.py``, the perfbench sources are read and
+executed here, never imported as modules, so nothing is written next to
+them.
 """
 
+import json
 import sys
 import types
 from pathlib import Path
@@ -22,7 +26,7 @@ import numpy as np
 import pytest
 
 from _util import _reference_knn
-from poissonprop import run_episode
+from poissonprop import manifest, run_episode, synth_episode
 from poissonprop.graph import _knn
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -72,3 +76,21 @@ def test_wide_channels_knn_every_row(tmp_path):
     ref_neighbors, ref_sq_dists = _reference_knn(points, ep.config.knn_k)
     assert neighbors.tobytes() == ref_neighbors.tobytes()
     assert sq_dists.tobytes() == ref_sq_dists.tobytes()
+
+
+def test_episode_directory_matches_library_writer(tmp_path):
+    # the CLI workload's inputs must be what the library itself would write
+    wl = WL.WORKLOADS["small-episodes"]
+    spec = WL.episode_spec(wl, 1, 0)
+    ep = synth_episode(spec, WL.episode_config(wl, 1))[0]
+    WL._write_manifest(ep, tmp_path / "bench")
+    manifest.write_synth_directory(spec, tmp_path / "lib")
+    written = sorted(p.name for p in (tmp_path / "bench").iterdir())
+    assert {"manifest.json", "query_mask.t"} <= set(written)
+    for name in written:
+        bench, lib = (tmp_path / "bench" / name), (tmp_path / "lib" / name)
+        assert lib.exists(), name
+        if name == "manifest.json":
+            assert json.loads(bench.read_text()) == json.loads(lib.read_text())
+        else:
+            assert bench.read_bytes() == lib.read_bytes(), name

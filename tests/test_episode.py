@@ -161,7 +161,7 @@ class TestRunEpisode:
         grid = pp.downsample_mask(sup_mask, cfg.window)
         labels = pp.assign_prototype_labels(grid)
         aux = [pp.local_prototype_pool(amap, cfg.window) for amap in ep.auxiliary]
-        points = np.concatenate([protos, *aux, ep.query.pixel_vectors()])
+        points = np.concatenate([protos, *aux, ep.query.data.reshape(ep.query.channels, -1).T])
         graph = pp.build_weight_graph(points, cfg.knn_k)
         one_hot = np.zeros((len(protos), 2))
         one_hot[np.arange(len(protos)), labels] = 1.0

@@ -375,6 +375,23 @@ class TestWeightedGraph:
         with pytest.raises(TypeError):
             WeightedGraph(w, degrees=np.ones(3))
 
+    def test_weights_are_the_graphs_own_copy(self):
+        dense = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        w = sp.csr_matrix(dense)
+        g = WeightedGraph(w)
+        w.data *= 10.0  # the caller's edit reaches neither the weights nor the degrees
+        assert np.array_equal(g.weights.toarray(), dense)
+        assert np.array_equal(laplacian_apply(g, np.ones((3, 1))), np.zeros((3, 1)))
+        # unsorted column indices and a duplicate (0, 1) entry: canonicalising
+        # the graph's weights leaves the caller's arrays as they were
+        data, indices = np.array([2.0, 0.5, 0.5, 1.0, 1.0, 1.0, 2.0]), np.array([2, 1, 1, 0, 2, 1, 0])
+        raw = sp.csr_matrix((data.copy(), indices.copy(), np.array([0, 3, 5, 7])), shape=(3, 3))
+        g = WeightedGraph(raw)
+        assert np.array_equal(raw.data, data) and np.array_equal(raw.indices, indices)
+        assert np.array_equal(g.weights.toarray(), dense)
+        with pytest.raises(AttributeError):
+            g.weights = raw
+
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             WeightedGraph(np.array([[0.0, 1.0], [2.0, 0.0]]))

@@ -37,7 +37,8 @@ class TestLocalPool:
 
     def test_unit_window_reproduces_pixels(self, fmap44):
         protos = local_prototype_pool(fmap44, (1, 1))
-        assert np.array_equal(protos, fmap44.pixel_vectors())
+        cells = [fmap44.data[:, i, j] for i in range(4) for j in range(4)]  # row-major
+        assert np.array_equal(protos, cells)
 
     def test_window_too_large(self, fmap44):
         with pytest.raises(ValueError, match="tile"):

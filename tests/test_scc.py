@@ -32,11 +32,22 @@ def _reference_unit_rows(rows):
     return unit
 
 
+def _pixel_rows(fmap):
+    """The map's pixel vectors as (H*W, C) rows, row-major."""
+    return fmap.data.reshape(fmap.channels, -1).T
+
+
+def _reference_transform(transform, rows):
+    """The two-layer transform of (n, C_in) rows, from its weights and biases."""
+    hidden = np.maximum(rows @ transform.first.weight.T + transform.first.bias, 0.0)
+    return hidden @ transform.second.weight.T + transform.second.bias
+
+
 def _reference_similarity(query, proto, params=None):
     """The routes the closed forms replaced: unit pixel rows times the unit
     prototype, or each concatenated (pixel, prototype) row through the layer."""
     c, h, w = query.data.shape
-    pixels = query.pixel_vectors()
+    pixels = _pixel_rows(query)
     if params is None:
         sims = _reference_unit_rows(pixels) @ _reference_unit_rows(proto[None, :])[0]
         return np.clip(sims, -1.0, 1.0).reshape(1, h, w)
@@ -47,9 +58,9 @@ def _reference_similarity(query, proto, params=None):
 def _reference_calibrate(fused, transform=None):
     """Elementwise calibration kernel, the route the blocked GEMM replaced."""
     c, h, w = fused.data.shape
-    pixels = fused.pixel_vectors()
+    pixels = _pixel_rows(fused)
     unit = _reference_unit_rows(pixels)
-    target = pixels if transform is None else transform.apply(pixels)
+    target = pixels if transform is None else _reference_transform(transform, pixels)
     n_px, c_out = target.shape
     out = np.empty((n_px, c_out), dtype=np.float64)
     for lo in range(0, n_px, 64):
@@ -69,12 +80,21 @@ def _reference_maps():
         LinearParams(rng.standard_normal((64, 64)) / 8, rng.standard_normal(64)),
         LinearParams(rng.standard_normal((64, 64)) / 8, rng.standard_normal(64)),
     )
-    return {
+    maps = {
         "c1-20x20-ragged": (rng.standard_normal((1, 20, 20)), None),
         "c1-64x64": (rng.standard_normal((1, 64, 64)), None),
         "c8-zero-norm": (zeros, None),
         "c64-two-layer": (rng.standard_normal((64, 16, 16)), head),
     }
+    # 130 pixels: column blocks of 64, 64 and 2
+    ragged = rng.standard_normal((8, 10, 13))
+    narrow = TwoLayerParams(
+        LinearParams(rng.standard_normal((16, 8)) / 3, rng.standard_normal(16)),
+        LinearParams(rng.standard_normal((5, 16)) / 4, rng.standard_normal(5)),
+    )
+    maps["c8-10x13-ragged"] = (ragged, None)
+    maps["c8-10x13-ragged-two-layer"] = (ragged, narrow)
+    return maps
 
 
 REFERENCE_MAPS = _reference_maps()
@@ -314,8 +334,8 @@ class TestCalibration:
         fused = FeatureMap(data)
         got = spatial_consistency_calibrate(fused, transform).data
         want = _reference_calibrate(fused, transform)
-        pixels = fused.pixel_vectors()
-        target = pixels if transform is None else transform.apply(pixels)
+        pixels = _pixel_rows(fused)
+        target = pixels if transform is None else _reference_transform(transform, pixels)
         # relative to the largest summand: a sign class's sum may cancel to 0
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(target).max())
 

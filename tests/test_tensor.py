@@ -71,12 +71,6 @@ class TestContainers:
         fmap = FeatureMap(np.zeros((1, 2, 2), dtype=np.float32))
         assert fmap.data.dtype == np.float64
 
-    def test_pixel_vectors_row_major(self):
-        fmap = FeatureMap(np.arange(8.0).reshape(2, 2, 2))
-        vecs = fmap.pixel_vectors()
-        # pixel (0, 1) holds channels [1, 5]
-        assert np.array_equal(vecs[1], [1.0, 5.0])
-
 
 def _load_written(values, tmp_path):
     """``load_tensor`` of a float64 file holding ``values``, whatever its dims."""
