@@ -113,12 +113,15 @@ def spatial_consistency_calibrate(
     """Rectified-similarity average over all pixels.
 
     Each output pixel i is the mean over every pixel j (including
-    j = i) of max(cos(v_i, v_j), 0) times the transformed v_j. Pixels
-    with near-zero norm take similarity 0 to everything. The transform
-    defaults to identity. A one-channel map's cosines are -1, 0 or 1, so
-    each of its pixels averages over its own sign class: O(HW) time and
-    memory. Wider maps take O(HW^2 C) time in blocks of 64 pixels. Both
-    read the map as (C, H*W), with no per-pixel copy.
+    j = i) of max(cos(v_i, v_j), 0) times the transformed v_j. A pixel
+    with norm below 1e-12 takes similarity 0 to everything, so it
+    neither gives nor takes: only the m other columns of the map, read
+    as (C, H*W), are gathered and transformed, and the rest output 0.
+    The transform defaults to identity. A one-channel map's cosines are
+    -1, 0 or 1, so each of its pixels averages over its own sign class:
+    O(HW) time and memory. Wider maps take O(m^2 C) time: the similarity
+    table is symmetric, so each pair of 64-pixel blocks is formed once
+    and feeds both blocks, in O(64 m) working memory.
     """
     c, h, w = fused.data.shape
     if transform is not None and transform.in_dim != c:
@@ -127,18 +130,22 @@ def spatial_consistency_calibrate(
         )
     flat = fused.data.reshape(c, h * w)
     norms = _norms(flat, 0)
-    unit = np.divide(flat, norms, out=np.zeros_like(flat), where=norms > 0.0)
-    target = flat if transform is None else transform.apply(flat)
-    c_out, n_px = target.shape
+    live = np.flatnonzero(norms)
+    pixels = flat[:, live]
+    unit = pixels / norms[live]
+    target = pixels if transform is None else transform.apply(pixels)
+    acc = np.zeros((target.shape[0], live.size), dtype=np.float64)
     if c == 1:  # max(cos, 0) is 1 within a sign class and 0 across
-        out = np.zeros((c_out, n_px), dtype=np.float64)
         for members in (unit[0] == -1.0, unit[0] == 1.0):
-            out[:, members] = target[:, members].sum(axis=1, keepdims=True) / n_px
+            acc[:, members] = target[:, members].sum(axis=1, keepdims=True)
     else:
-        out = np.empty((c_out, n_px), dtype=np.float64)
-        # column blocks keep the similarity table at O(HW * block)
-        for lo in range(0, n_px, _BLOCK_PIXELS):
-            sims = unit.T @ unit[:, lo : lo + _BLOCK_PIXELS]
+        # the strip of block I against blocks J >= I feeds J from I, and I from J > I
+        for lo in range(0, live.size, _BLOCK_PIXELS):
+            hi = lo + _BLOCK_PIXELS
+            sims = unit[:, lo:hi].T @ unit[:, lo:]
             np.maximum(sims, 0.0, out=sims)
-            out[:, lo : lo + _BLOCK_PIXELS] = target @ sims / n_px
-    return FeatureMap(out.reshape(c_out, h, w))
+            acc[:, lo:] += target[:, lo:hi] @ sims
+            acc[:, lo:hi] += target[:, hi:] @ sims[:, _BLOCK_PIXELS:].T
+    out = np.zeros((target.shape[0], h * w), dtype=np.float64)
+    out[:, live] = acc / (h * w)
+    return FeatureMap(out.reshape(-1, h, w))

@@ -127,8 +127,16 @@ def avg_pool(fmap: FeatureMap, window: tuple[int, int]) -> FeatureMap:
 
 def _norms(vectors: np.ndarray, axis: int) -> np.ndarray:
     """Euclidean norms along ``axis``, the library's one zero-norm rule: a
-    norm below 1e-12 reads 0, and a vector with norm 0 compares as 0."""
-    norms = np.linalg.norm(vectors, axis=axis)
+    norm below 1e-12 reads 0, and a vector with norm 0 compares as 0. A
+    vector whose squares overflow (an entry above about 1.3e154) is
+    measured again scaled by its largest entry."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(vectors, axis=axis)
+    big = np.isinf(norms)
+    if big.any():
+        rows = np.moveaxis(vectors, axis, -1)[big]
+        scale = np.abs(rows).max(axis=-1)
+        norms[big] = scale * np.linalg.norm(rows / scale[:, None], axis=-1)
     norms[norms < ZERO_NORM_EPS] = 0.0
     return norms
 

@@ -9,12 +9,13 @@ checks from ``perfbench/checks.py`` on that episode: the kNN edges and the
 calibrated map recomputed from the inputs (within the checks' rtol of
 1e-9), so a rounding change in the similarity or calibration shows here
 too. On wide-channels every kNN row is also compared byte for byte with
-the full-table reference. The small-episodes workload writes its episode
-directories with its own copy of the manifest and tensor file format, so
-that copy is checked against the library's writer. As in
-``test_benchmark_targets.py``, the perfbench sources are read and
-executed here, never imported as modules, so nothing is written next to
-them.
+the full-table reference, and on calibrated-head every calibrated pixel
+is checked, its zero-norm pixels included. The small-episodes workload
+writes its episode directories with its own copy of the manifest and
+tensor file format, so that copy is checked against the library's
+writer. As in ``test_benchmark_targets.py``, the perfbench sources are
+read and executed here, never imported as modules, so nothing is written
+next to them.
 """
 
 import json
@@ -76,6 +77,18 @@ def test_wide_channels_knn_every_row(tmp_path):
     ref_neighbors, ref_sq_dists = _reference_knn(points, ep.config.knn_k)
     assert neighbors.tobytes() == ref_neighbors.tobytes()
     assert sq_dists.tobytes() == ref_sq_dists.tobytes()
+
+
+def test_calibrated_head_every_pixel(tmp_path):
+    # about 40 % of this map's fused pixels have norm below 1e-12, and their
+    # calibrated value must be exactly 0; check_calibrated above samples 16
+    wl = WL.WORKLOADS["calibrated-head"]
+    inputs = WL.set_up(wl, 1, tmp_path / "in")
+    returned = WL.call(wl, inputs, 0, tmp_path / "out")
+    outputs = WL.capture(wl, inputs, 0, tmp_path / "out", returned)
+    assert outputs.calibrated.shape == (64, 32, 32)
+    ep, rng = inputs.episodes[0], np.random.default_rng(0)
+    CHECKS.check_calibrated(ep, outputs.confidence, outputs.calibrated, rng, 32 * 32)
 
 
 def test_episode_directory_matches_library_writer(tmp_path):

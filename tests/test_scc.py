@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -311,6 +312,60 @@ class TestCalibration:
         got = spatial_consistency_calibrate(FeatureMap(data), transform).data
         want = _reference_calibrate(FeatureMap(data), transform)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("head", [False, True], ids=["identity", "two-layer"])
+    def test_zero_norm_pixels_neither_give_nor_take(self, head):
+        # 15 x 14 = 210 pixels, not a multiple of 64; about a third have norm
+        # below 1e-12, so some 140 live pixels make three blocks and their pairs
+        rng = np.random.default_rng(51)
+        data = rng.standard_normal((6, 15, 14))
+        dead = rng.random((15, 14)) < 1 / 3
+        data[:, dead] = 0.0
+        tiny = np.argwhere(dead)[::2]
+        data[:, tiny[:, 0], tiny[:, 1]] = 3e-13  # norm 7.3e-13, below the threshold
+        assert 128 < (~dead).sum() < 210
+        transform = None
+        if head:
+            transform = TwoLayerParams(
+                LinearParams(rng.standard_normal((9, 6)), rng.standard_normal(9)),
+                LinearParams(rng.standard_normal((4, 9)), rng.standard_normal(4)),
+            )
+        got = spatial_consistency_calibrate(FeatureMap(data), transform).data
+        want = _reference_calibrate(FeatureMap(data), transform)
+        assert np.all(got[:, dead] == 0.0) and not np.signbit(got[:, dead]).any()
+        assert np.allclose(got[:, ~dead], want[:, ~dead], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("head", [False, True], ids=["identity", "two-layer"])
+    def test_all_zero_map_gives_zeros(self, head):
+        transform = None
+        if head:  # a bias would give every pixel a nonzero target
+            transform = TwoLayerParams(
+                LinearParams(np.ones((2, 3)), np.ones(2)),
+                LinearParams(np.ones((5, 2)), np.ones(5)),
+            )
+        out = spatial_consistency_calibrate(FeatureMap(np.zeros((3, 9, 8))), transform)
+        assert out.data.shape == (3 if transform is None else 5, 9, 8)
+        assert np.all(out.data == 0.0) and not np.signbit(out.data).any()
+
+    def test_single_live_pixel(self):
+        # the one live pixel averages only with itself, over all 130 pixels
+        data = np.zeros((3, 10, 13))
+        data[:, 7, 11] = [1.0, -2.0, 2.0]
+        out = spatial_consistency_calibrate(FeatureMap(data)).data
+        want = np.zeros_like(data)
+        want[:, 7, 11] = data[:, 7, 11] / 130
+        assert np.allclose(out, want, rtol=1e-15, atol=0.0)
+        assert np.count_nonzero(out) == 3
+
+    def test_entries_past_square_overflow(self):
+        # 1e155 squared overflows; the norm is measured again scaled by its largest entry
+        fused = FeatureMap(np.full((4, 1, 2), 1e155))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sim = similarity_map(fused, np.ones(4))
+            out = spatial_consistency_calibrate(fused)
+        assert np.allclose(sim.data, 1.0, rtol=1e-15, atol=0.0)
+        assert np.allclose(out.data, fused.data, rtol=1e-15, atol=0.0)
 
     @given(
         st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(

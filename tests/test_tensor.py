@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from poissonprop import (
     load_tensor,
 )
 from poissonprop.errors import ShapeMismatch
+from poissonprop.tensor import _norms
 from poissonprop.tensorfile import DTYPE_F64, MAGIC
 
 
@@ -213,6 +215,25 @@ class TestCosine:
         base = cosine(u, v)
         for c in (1e-3, 7.0, 1e4):
             assert cosine(c * u, v) == pytest.approx(base, abs=1e-12)
+
+
+class TestNorms:
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_ordinary_inputs_keep_their_bits(self, axis):
+        data = np.random.default_rng(4).standard_normal((7, 9)) * 1e150
+        want = np.linalg.norm(data, axis=axis)
+        assert _norms(data, axis).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_squares_past_overflow_measured_scaled(self, axis):
+        # 1e155 squared is inf; only that vector is measured again
+        data = np.array([[1e155, 3.0, 0.0], [-1e155, 4.0, 1e-13]])
+        data = data if axis == 0 else data.T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = _norms(data, axis)
+        assert norms[0] == pytest.approx(np.sqrt(2.0) * 1e155, rel=1e-15)
+        assert norms[1:].tolist() == [5.0, 0.0]
 
 
 class TestDownsample:
