@@ -117,6 +117,25 @@ def _stage(name: str, fn, *args, **kwargs):
         raise type(err)(f"stage {name}: {err}") from err
 
 
+def _query_mask(labels: np.ndarray, scores: np.ndarray, height: int, width: int) -> np.ndarray:
+    """The "poisson" mask. A support labelled with one class predicts that class
+    everywhere. Otherwise the query's foreground scores u_fg are thresholded by
+    isodata (Ridler and Calvard, 1978): from 0, the threshold moves to the
+    midpoint of the two sides' means until the split stops moving."""
+    if labels.min() == labels.max():
+        return np.full((height, width), labels[0], dtype=np.uint8)
+    u_fg = scores[-height * width :, -1]
+    fg = u_fg >= 0.0
+    for _ in range(u_fg.size):  # in exact arithmetic the split moves one way, so n steps settle it
+        if fg.all() or not fg.any():
+            break
+        moved = u_fg >= (u_fg[fg].mean() + u_fg[~fg].mean()) / 2
+        if np.array_equal(moved, fg):
+            break
+        fg = moved
+    return fg.reshape(height, width).astype(np.uint8)
+
+
 def run_episode(ep: Episode) -> EpisodeResult:
     """Run the full pipeline on one episode."""
     cfg = ep.config
@@ -165,7 +184,7 @@ def run_episode(ep: Episode) -> EpisodeResult:
         "calibration", scc.spatial_consistency_calibrate, fused, cfg.calibration_params
     )
 
-    mask_poisson = predict_mask(confidence.values)
+    mask_poisson = _query_mask(labels, propagation.scores, ep.query.height, ep.query.width)
     mask_calibrated = predict_mask(calibrated.data.mean(axis=0))
 
     dsc_poisson = dsc_calibrated = None

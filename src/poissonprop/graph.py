@@ -5,13 +5,13 @@ each point's K-th nearest neighbor sets that point's local bandwidth,
 so the weight matrix is invariant to global rescaling of the points.
 The kNN search is exact, with ties broken toward the lower index: per
 row block, one float32 GEMM on the centred points, scaled by a power of
-two and with a proven rounding margin folded into its operand, screens
-all pairs against each row's K-th distance, bounded from minima over
-strided column groups and widened by the margin; survivors' distances
-are recomputed elementwise in float64, so the graph is bit-identical for
-any BLAS build or thread count. A row block is 64 rows, or up to C + 1
-rows within 2^18 screen entries at wide C, and survivors are recomputed
-in cache-sized chunks of about 2^16 / C, in O(block * n) memory.
+two, screens all pairs against each row's K-th distance, bounded from
+minima over strided column groups and widened by one proven rounding
+margin; survivors' distances are recomputed elementwise in float64, so
+the graph is bit-identical for any BLAS build or thread count. A row
+block is 64 rows, or up to C + 1 rows within 2^18 screen entries at wide
+C, and survivors are recomputed in cache-sized chunks of about 2^16 / C,
+in O(block * n) memory.
 """
 
 from __future__ import annotations
@@ -121,42 +121,37 @@ class WeightedGraph:
 # D_ij = fl(sum fl(fl(x_i - x_j)^2)), and d_ij = |x_i - x_j|^2 exactly. Scaled units: y_i = 2^e x~_i
 # exactly, A_i = |y_i|, with e = (100 - E) // 2 for max S < 2^E (E = 0 if max S = 0), so
 # 2^2e max S < 2^100 and -461 <= e <= 586 (max S is 0, a subnormal or below 2^1021). Each point
-# gets z_i = fl32(2^e x~_i), h_i = fl32 rounded up of fl(c 2^2e S_i + slack), c = 4 (C+2) u,
-# slack = (C+2) (eta + 2^(2e-1074)), and p_i = fl32(fl(2^2e S_i - h_i)); one float32 GEMM of
-# [-2 z, 1] by [z, p]^T gives B_ij = fl(p_j - 2 z_i.z_j), a (C+1)-term dot product. To first order
-# in u, in scaled units:
+# gets z_i = fl32(2^e x~_i) and p_i = fl32(2^2e S_i); one float32 GEMM of [-2 z, 1] by [z, p]^T
+# gives B_ij = fl(p_j - 2 z_i.z_j), a (C+1)-term dot product. To first order in u, in scaled units:
 # - conversion: |z_ic - y_ic| <= u |y_ic| + eta (fl32 of an exact or float64-subnormal product), so
 #   2 |z_i.z_j - y_i.y_j| <= 4u A_i A_j + 2 sqrt(C) eta (A_i + A_j)
 #   <= 3u (A_i^2 + A_j^2) + 2C eta^2/u;
 # - GEMM: (C+1)u (|p_j| + 2 |z_i||z_j|) + C eta, in any order, with or without fused multiply-adds:
 #   each of the C products that underflows is off by at most eta/2, and sums are exact among
-#   subnormals; by Cauchy-Schwarz and |p_j| <= A_j^2 + h_j, (C+1)u (A_i^2 + 2 A_j^2 + h_j) + C eta;
-# - augmented column: u (A_j^2 + h_j) + eta/2 for fl32(p_j), C v A_j^2 for S_j and 2^2e C 2^-1075
-#   for the squares in S_j that underflow float64;
+#   subnormals; by Cauchy-Schwarz and |p_j| <= A_j^2, (C+1)u (A_i^2 + 2 A_j^2) + C eta;
+# - augmented column: u A_j^2 + eta/2 for p_j, C v A_j^2 for S_j and 2^2e C 2^-1075 for the
+#   squares in S_j that underflow float64;
 # - recompute: D_ij is within (C+2)v d_ij of d_ij (one rounding for the difference, two for the
 #   square, C-1 for a sum of nonnegative terms) plus C 2^-1075 for its squares that underflow,
 #   centring moves |x~_i - x~_j|^2 from d_ij by 2v (|x~_i| + |x~_j|)^2, and
 #   d_ij <= 2 (|x~_i|^2 + |x~_j|^2): together (2C+8)v (A_i^2 + A_j^2) + 2^2e C 2^-1075.
-# With the row constant R_i = A_i^2 + h_i (never computed), these sum to |B_ij + R_i - h_i + h_j -
-# 2^2e D_ij| <= (C+4)u A_i^2 + (2C+6)u A_j^2 + (C+2)u h_j + (C+1) eta + 2^2e C 2^-1074 + O(Cv)
-# (A_i^2 + A_j^2) + 2C eta^2/u. h_i + h_j >= c (A_i^2 + A_j^2) + 2 slack (less 2c 2^2e C 2^-1075,
-# the underflow in S_i, S_j) leaves (2C+2)u (A_i^2 + A_j^2) for the O(Cv) terms, h's own float64
+# These sum to |B_ij + A_i^2 - 2^2e D_ij| <= (C+4)u A_i^2 + (2C+6)u A_j^2 + (C+1) eta +
+# 2^2e C 2^-1074 + O(Cv) (A_i^2 + A_j^2) + 2C eta^2/u <= 2M, for the one margin M = fl(4(C+2)u
+# 2^2e max S + slack), slack = (C+2) (eta + 2^(2e-1074)): as A_i^2 <= 2^2e max S (1 + Cv) +
+# 2^2e C 2^-1075 (the underflow in S), 2M leaves (5C+6)u 2^2e max S for the O(Cv) terms, M's own
 # roundings among them, and the O(C^2 u^2) ones (fine for C < 2^20), and (C+3) eta +
-# (C+4) 2^2e 2^-1074 for the rest, also where 2^(2e-1074) is below 2^-1074 and flushes to 0.
-# So B_ij - 2h_i + R_i <= 2^2e D_ij <= B_ij + 2h_j + R_i: the margin lives in the GEMM's operand.
-# Where every S_i underflows float64 (points near 1e-300), z = 0 and every pair survives.
-# Range: 2^2e S_i < 2^100 and slack < (C+2) 2^99, so every finite value in the screen, and the
-# bound below, is under 2^123 for C < 2^20.
-# Row bound, with D in scaled units and H = max_j h_j: column j is in group j mod m, m = max(K,
-# ceil(n / 8)) <= n - 1, and the diagonal is +inf. The K smallest group minima are B_ij of K
-# distinct columns j != i, so their largest, V_i, gives D_(K) <= V_i + 2H + R_i (right
-# inequality, with h_j <= H). V_i is +inf where K = n - 1 leaves a diagonal alone in its group;
-# that diagonal passes and is cleared. Each j among the K nearest has D_ij <= D_(K), so B_ij <=
-# V_i + 2h_i + 2H exactly (left inequality). w_i, the float32 after fl32(fl(2h_i + 2H)), is above
-# fl(2h_i + 2H), so at least the next float64, past the exact sum: w_i >= 2h_i + 2H. Rounding is
-# monotone, so B_ij <= fl32(V_i + w_i) keeps j.
-def _screen_operands(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The float32 screen's [-2 z, 1] and [z, p] and its row widening w, as above."""
+# (C+4) 2^2e 2^-1074 for the rest, also where 2^(2e-1074) flushes to 0. Where every S_i
+# underflows float64 (points near 1e-300), z = 0 and every pair survives. Range: 2^2e S_i < 2^100
+# and slack < (C+2) 2^99, so every finite value in the screen, and the bound below, is under
+# 2^123 for C < 2^20.
+# Row bound, in scaled units: column j is in group j mod m, m = max(K, ceil(n / 8)) <= n - 1, and
+# the diagonal is +inf. The K smallest group minima are B_ij of K distinct columns j != i, so
+# their largest, V_i, gives D_(K) <= V_i + 2M + A_i^2, and each of the K nearest has B_ij <=
+# V_i + 4M. V_i is +inf where K = n - 1 leaves a diagonal alone in its group; that diagonal
+# passes and is cleared. W, fl32(4M) rounded up, is at least the exact 4M, and rounding is
+# monotone, so B_ij <= fl32(V_i + W) keeps j.
+def _screen_operands(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.float32]:
+    """The float32 screen's [-2 z, 1] and [z, p] and its widening W, as above."""
     n, channels = pts.shape
     centred = pts - pts.mean(axis=0)
     sq = np.einsum("ij,ij->i", centred, centred)
@@ -165,17 +160,13 @@ def _screen_operands(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     exponent = (100 - int(np.frexp(sq.max())[1])) // 2
     rhs = np.empty((n, channels + 1), dtype=np.float32)
     np.multiply(centred, 2.0**exponent, out=rhs[:, :-1])
+    rhs[:, -1] = np.ldexp(sq, 2 * exponent)
     lhs = np.empty_like(rhs)
     np.multiply(rhs[:, :-1], -2, out=lhs[:, :-1])  # exact scaling
     lhs[:, -1] = 1
-    scaled_sq = np.ldexp(sq, 2 * exponent)
     slack = (channels + 2) * (2.0**-149 + np.ldexp(1.0, 2 * exponent - 1074))
-    half = 4 * (channels + 2) * 2.0**-24 * scaled_sq + slack
-    margin = half.astype(np.float32)
-    np.nextafter(margin, np.float32(np.inf), out=margin, where=margin < half)
-    rhs[:, -1] = scaled_sq - margin
-    wide = 2 * (margin.astype(np.float64) + margin.max())
-    return lhs, rhs, np.nextafter(wide.astype(np.float32), np.float32(np.inf))
+    margin = 4 * (channels + 2) * 2.0**-24 * np.ldexp(sq.max(), 2 * exponent) + slack
+    return lhs, rhs, np.nextafter(np.float32(4 * margin), np.float32(np.inf))
 
 
 def _knn(pts: np.ndarray, k_neighbors: int) -> tuple[np.ndarray, np.ndarray]:
@@ -183,7 +174,7 @@ def _knn(pts: np.ndarray, k_neighbors: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (n, K) neighbor indices and their squared distances, ordered
     by (distance, index). A float32 GEMM screen keeps every candidate
-    that could be among the K nearest under its rounding margin;
+    that could be among the K nearest under one rounding margin;
     survivors are recomputed elementwise in float64, so the result never
     depends on BLAS rounding. A block is max(64, min(C + 1, 2^18 // n))
     rows; survivors are recomputed max(1, 2^16 // C) at a time in one
@@ -217,7 +208,7 @@ def _knn(pts: np.ndarray, k_neighbors: int) -> tuple[np.ndarray, np.ndarray]:
         least = screen[:, :whole].reshape(hi - lo, -1, groups).min(axis=1)
         np.minimum(least[:, : n - whole], screen[:, whole:], out=least[:, : n - whole])
         least.partition(k_neighbors - 1, axis=1)
-        bound = least[:, k_neighbors - 1] + widen[lo:hi]
+        bound = least[:, k_neighbors - 1] + widen
         keep = screen <= bound[:, None]
         keep[local, lo + local] = False
         rows, cols = np.divmod(np.flatnonzero(keep), n)
@@ -246,8 +237,6 @@ def build_weight_graph(points, k_neighbors: int) -> WeightedGraph:
     """
     pts = _as_float64(points, "points", 2)
     n = pts.shape[0]
-    if n < 2:
-        raise ValueError("need at least 2 points")
     neighbors, sq_dists = _knn(pts, k_neighbors)
     dk = np.sqrt(sq_dists[:, -1])
     dk2 = np.maximum(dk, DISTANCE_FLOOR) ** 2

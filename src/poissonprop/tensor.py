@@ -152,9 +152,9 @@ def downsample_mask(mask: SoftMask, window: tuple[int, int]) -> SoftMask:
 
 
 def predict_mask(values) -> np.ndarray:
-    """Binary foreground mask of a score map, the library's one foreground
-    rule: a value >= 0.5 is foreground (the two-class argmax, ties going to
-    foreground). The support labels, both predicted masks and the truth an
-    episode is scored against all come from it.
+    """Binary foreground mask of a score map: a value >= 0.5 is foreground
+    (the two-class argmax, ties going to foreground). The support labels,
+    the "calibrated" mask and the truth an episode is scored against come
+    from it; the "poisson" mask is the isodata split of the query's scores.
     """
     return (np.asarray(values) >= 0.5).astype(np.uint8)

@@ -1,10 +1,13 @@
 """Shared test fixtures: random propagation systems, frozen synth specs,
-the dense least-squares oracle for the iterative solver and the
-full-table reference for the kNN search."""
+the dense least-squares oracle for the iterative solver, the
+full-table reference for the kNN search and Laplace learning, the
+baseline of the paper's claims."""
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 import poissonprop as pp
 from poissonprop.errors import PoissonPropError
@@ -185,3 +188,16 @@ def drift_episode(seed: int, drift: float, n_auxiliary: int, separation: float =
         query=query.query,
         query_mask=query.query_mask,
     )
+
+
+def laplace_mask(result: pp.EpisodeResult) -> np.ndarray:
+    """Laplace learning (Zhu, Ghahramani and Lafferty, ICML 2003) on the
+    episode's own graph: the harmonic extension of the support labels Y,
+    ``L_uu U = W_ul Y`` over the unlabelled vertices, then the argmax over
+    the query block as an (H, W) mask."""
+    height, width = result.confidence.values.shape
+    n_s = result.vertex_set.n_s
+    weights = result.graph.weights
+    lap_uu = sp.diags(result.graph.degrees[n_s:]) - weights[n_s:, n_s:]
+    scores = spsolve(lap_uu.tocsc(), weights[n_s:, :n_s] @ result.vertex_set.one_hot_labels())
+    return scores[-height * width :].argmax(axis=1).reshape(height, width).astype(np.uint8)

@@ -147,6 +147,14 @@ class TestGraphPropagate:
         assert code == 1
         assert capsys.readouterr().err == "error: ValueError: points must be rank 2, got shape (2, 2, 2)\n"
 
+    def test_graph_rejects_one_point(self, tmp_path, capsys):
+        feat = tmp_path / "feat.t"
+        save_tensor(feat, np.zeros((1, 4)))
+        code = main(["graph", "--features", str(feat), "--out", str(tmp_path / "g.t")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: KTooLarge: K=10 but only 0 other points exist\n"
+        assert not (tmp_path / "g.t").exists()
+
 
 class TestDice:
     def test_identical_masks_print_one(self, tmp_path, capsys):

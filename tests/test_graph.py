@@ -59,10 +59,11 @@ def _screen_corpus():
         "n-8m-minus-1": (rng.standard_normal((159, 4)), 10),  # a short last group
         "n-8m-plus-1": (rng.standard_normal((161, 4)), 10),
         # the far point's nearest tie exactly and its screen error grows with its
-        # own norm: fails with a zero margin, or without the row bound's widening
+        # own norm, the largest: fails with no widening, or with 2^-18 of it
         "far-row-ties": (np.vstack([lattice - 4.0, [[1e9, 0.0]]]), 3),
-        # row 2's three neighbours tie, and the margin folded into the GEMM lowers
-        # the far column 3 most: fails unless the row bound adds the largest margin
+        # row 2's three neighbours tie, the farthest from the mean in column 3: a
+        # margin per point folded into the GEMM's operand would lower that column
+        # most, and drop it unless the row bound also added the largest margin
         "folded-margin-ties": (np.array([[0.0], [0.0], [-1.0], [-2.0]]), 1),
         # at 1e-161 squared distances are float64 subnormals, and the screen's slack
         # for the recompute's underflow decides (without it these fail); at 1e-300
@@ -285,6 +286,11 @@ class TestBuildWeightGraph:
     def test_k_too_large(self):
         with pytest.raises(KTooLarge):
             build_weight_graph(LINE, 3)
+
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_one_point_has_no_neighbours(self, k):
+        with pytest.raises(KTooLarge, match=rf"^K={k} but only 0 other points exist$"):
+            build_weight_graph(np.zeros((1, 3)), k)
 
 
 class TestLaplacianApply:
