@@ -148,8 +148,8 @@ class WeightedGraph:
 # the diagonal is +inf. The K smallest group minima are B_ij of K distinct columns j != i, so
 # their largest, V_i, gives D_(K) <= V_i + 2M + A_i^2, and each of the K nearest has B_ij <=
 # V_i + 4M. V_i is +inf where K = n - 1 leaves a diagonal alone in its group; that diagonal
-# passes and is cleared. W, fl32(4M) rounded up, is at least the exact 4M, and rounding is
-# monotone, so B_ij <= fl32(V_i + W) keeps j.
+# passes and is cleared. W, the float32 after fl32(4M), is above 4M (exact in float64), and
+# rounding is monotone, so B_ij <= fl32(V_i + W) keeps j.
 def _screen_operands(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.float32]:
     """The float32 screen's [-2 z, 1] and [z, p] and its widening W, as above."""
     n, channels = pts.shape
