@@ -73,9 +73,7 @@ class VertexSet:
 
     def one_hot_labels(self) -> np.ndarray:
         """(n_s, k) one-hot rows for the labeled block."""
-        out = np.zeros((self.n_s, self.k), dtype=np.float64)
-        out[np.arange(self.n_s), self.labels] = 1.0
-        return out
+        return np.eye(self.k)[self.labels]
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,20 +239,20 @@ def build_weight_graph(points, k_neighbors: int) -> WeightedGraph:
     dk = np.sqrt(sq_dists[:, -1])
     dk2 = np.maximum(dk, DISTANCE_FLOOR) ** 2
 
-    rows = np.repeat(np.arange(n), k_neighbors)
-    vals = np.exp(-4.0 * sq_dists.ravel() / dk2[rows])
-    raw = sp.csr_matrix((vals, (rows, neighbors.ravel())), shape=(n, n))
+    vals = np.exp(-4.0 * sq_dists / dk2[:, None]).ravel()
+    indptr = np.arange(0, n * k_neighbors + 1, k_neighbors)
+    raw = sp.csr_matrix((vals, neighbors.ravel(), indptr), shape=(n, n))
     return WeightedGraph((raw + raw.T) * 0.5)
 
 
 def laplacian_apply(graph: WeightedGraph, x: np.ndarray) -> np.ndarray:
-    """(D - W) @ x for an (n, k) ``x``, one sparse product per column, without
-    forming D - W. For a C-contiguous (k, n) ``r``, as the class-major solve
-    holds, ``laplacian_apply(graph, r.T).T`` is C-contiguous too."""
+    """(D - W) @ x for an (n, k) ``x``, one sparse product over all k columns,
+    without forming D - W. Each column's sum runs in the order of a
+    single-column product, so the bytes do not depend on k or on ``x``'s layout."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != graph.n:
         raise ShapeMismatch(f"expected ({graph.n}, k) input, got {x.shape}")
-    return graph.degrees[:, None] * x - np.stack([graph.weights @ col for col in x.T]).T
+    return graph.degrees[:, None] * x - graph.weights @ x
 
 
 def component_count(graph: WeightedGraph) -> int:
@@ -265,16 +263,12 @@ def component_count(graph: WeightedGraph) -> int:
 def to_triplets(graph: WeightedGraph) -> np.ndarray:
     """Upper-triangle edge list as an (n_edges, 3) array of (i, j, w).
 
-    Rows are sorted by (i, j); symmetry makes the lower triangle
-    redundant. Indices are exact as float64 at any realistic n.
+    Rows are sorted by (i, j), as the graph's canonical CSR stores them; the
+    lower triangle is redundant. Indices are exact as float64 at any realistic n.
     """
-    coo = sp.triu(graph.weights, k=1).tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    out = np.empty((coo.nnz, 3), dtype=np.float64)
-    out[:, 0] = coo.row[order]
-    out[:, 1] = coo.col[order]
-    out[:, 2] = coo.data[order]
-    return out
+    coo = graph.weights.tocoo()
+    upper = coo.row < coo.col
+    return np.column_stack((coo.row, coo.col, coo.data))[upper].astype(np.float64, copy=False)
 
 
 def from_triplets(triplets) -> WeightedGraph:

@@ -15,7 +15,6 @@ import typing
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 ZERO_NORM_EPS = 1e-12
 
@@ -120,7 +119,7 @@ def avg_pool(fmap: FeatureMap, window: tuple[int, int]) -> FeatureMap:
         raise ValueError(f"window {window} does not tile extent {(h, w)}")
     # the contiguous copy gives each window's mean the loop-over-windows
     # summation order, so the bytes do not depend on the view's strides
-    windows = sliding_window_view(fmap.data, window, axis=(1, 2))[:, ::wh, ::ww]
+    windows = fmap.data.reshape(-1, h // wh, wh, w // ww, ww).transpose(0, 1, 3, 2, 4)
     out = np.ascontiguousarray(windows).mean(axis=(-2, -1))
     return FeatureMap(out)
 

@@ -2,10 +2,12 @@
 and citing its source. The baselines live in ``tests/_util.py``."""
 
 import numpy as np
+import pytest
 
 import poissonprop as pp
 from _util import UNIT8, drift_episode, laplace_mask
 from poissonprop import dsc, predict_mask, run_episode
+from poissonprop.errors import DisconnectedGraph
 
 
 def test_poisson_beats_laplace_at_low_label_rate():
@@ -45,3 +47,33 @@ def test_auxiliary_maps_bridge_drift():
     bridged, alone = median_dsc(6), median_dsc(0)
     assert bridged >= 0.9, bridged
     assert bridged > alone + 0.3, (bridged, alone)
+
+
+@pytest.mark.parametrize(
+    "drift, too_few, enough, disconnected, at_least",
+    [(6.0, 3, 6, 0, 6), (8.0, 6, 12, 3, 4)],
+    ids=["drift-6", "drift-8"],
+)
+def test_auxiliary_maps_bridge_drift_limits(drift, too_few, enough, disconnected, at_least):
+    # where the paper's semi-supervised claim stops: a larger drift needs more
+    # auxiliary maps, and with too few the mask is no better than all-foreground
+    # (DSC 0.40) or the graph falls apart. Measured over seeds 0-7: at drift 6,
+    # medians 0.400 with 3 maps and 0.936 with 6, and 7 of 8 graphs without maps
+    # disconnect; at drift 8, 0.400 with 6 maps and 0.942 with 12, and 4 of 8
+    # graphs with 3 maps disconnect
+    def median_dsc(n_auxiliary):
+        return np.median([
+            run_episode(drift_episode(seed, drift, n_auxiliary)).dsc_poisson
+            for seed in range(8)
+        ])
+
+    def disconnects(seed):
+        try:
+            run_episode(drift_episode(seed, drift, disconnected))
+        except DisconnectedGraph:
+            return True
+        return False
+
+    assert median_dsc(too_few) <= 0.45
+    assert median_dsc(enough) >= 0.85
+    assert sum(map(disconnects, range(8))) >= at_least

@@ -33,7 +33,23 @@ def _reference_triplets(points, k):
     cols = neighbors.ravel()
     vals = np.exp(-4.0 * d2[rows, cols] / dk2[rows])
     raw = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return to_triplets(WeightedGraph((raw + raw.T) * 0.5))
+    return _triu_triplets(WeightedGraph((raw + raw.T) * 0.5))
+
+
+def _triu_triplets(graph):
+    """The edge list from the upper triangle, sorted by (i, j) with lexsort."""
+    coo = sp.triu(graph.weights, k=1).tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    return np.column_stack((coo.row[order], coo.col[order], coo.data[order])).astype(np.float64)
+
+
+def _random_symmetric_graph(rng, n):
+    """Random weights on a ring plus about 3n random pairs, rows of uneven length."""
+    rows = np.concatenate([np.arange(n), rng.integers(0, n, 3 * n)])
+    cols = np.concatenate([(np.arange(n) + 1) % n, rng.integers(0, n, 3 * n)])
+    keep = rows != cols
+    half = sp.csr_matrix((rng.random(keep.sum()) + 0.1, (rows[keep], cols[keep])), shape=(n, n))
+    return WeightedGraph(half + half.T)
 
 
 def _group_clusters(rng, groups, k):
@@ -111,6 +127,11 @@ class TestExactKnnEquivalence:
         points, k = EQUIVALENCE_CORPUS[case]
         got = to_triplets(build_weight_graph(points, k))
         assert got.tobytes() == _reference_triplets(points, k).tobytes()
+
+    def test_triplets_read_in_csr_order(self, case):
+        points, k = EQUIVALENCE_CORPUS[case]
+        g = build_weight_graph(points, k)
+        assert to_triplets(g).tobytes() == _triu_triplets(g).tobytes()
 
     def test_knn_distances_byte_equal(self, case):
         points, k = EQUIVALENCE_CORPUS[case]
@@ -315,6 +336,21 @@ class TestLaplacianApply:
         with pytest.raises(ShapeMismatch):
             laplacian_apply(g, np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_matches_per_column_products(self, k, order):
+        rng = np.random.default_rng([32, k])
+        for n in (7, 60, 301):
+            g = _random_symmetric_graph(rng, n)
+            x = np.asarray(rng.standard_normal((n, k)), order=order)
+            ref = g.degrees[:, None] * x - np.stack([g.weights @ col for col in x.T]).T
+            assert laplacian_apply(g, x).tobytes() == ref.tobytes()
+
+    def test_no_columns(self):
+        g = from_triplets([[0, 1, 1.0], [1, 2, 2.0]])
+        out = laplacian_apply(g, np.zeros((3, 0)))
+        assert out.shape == (3, 0)
+
 
 class TestTriplets:
     def test_round_trip(self):
@@ -331,6 +367,14 @@ class TestTriplets:
         assert np.all(trip[:, 0] < trip[:, 1])
         keys = trip[:, 0] * g.n + trip[:, 1]
         assert np.all(np.diff(keys) > 0)
+
+    def test_triplets_of_unsorted_csr_with_duplicate(self):
+        # the graph's canonical CSR, not the caller's order, orders the edge list
+        data, indices = np.array([2.0, 0.5, 0.5, 1.0, 1.0, 1.0, 2.0]), np.array([2, 1, 1, 0, 2, 1, 0])
+        g = WeightedGraph(sp.csr_matrix((data, indices, np.array([0, 3, 5, 7])), shape=(3, 3)))
+        trip = to_triplets(g)
+        assert trip.tobytes() == _triu_triplets(g).tobytes()
+        assert np.array_equal(trip, [[0, 1, 1.0], [0, 2, 2.0], [1, 2, 1.0]])
 
     def test_self_edges_rejected(self):
         with pytest.raises(ValueError, match="self"):
