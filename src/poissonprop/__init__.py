@@ -16,7 +16,7 @@ from .graph import (
     laplacian_apply,
     to_triplets,
 )
-from .metrics import dice_loss, dsc
+from .metrics import dsc
 from .poisson import (
     ConfidenceMap,
     LabelSource,
@@ -51,7 +51,6 @@ __all__ = [
     "from_triplets",
     "laplacian_apply",
     "to_triplets",
-    "dice_loss",
     "dsc",
     "ConfidenceMap",
     "LabelSource",

@@ -13,12 +13,6 @@ class ShapeMismatch(PoissonPropError):
     """Array shapes that must agree do not (maps, masks, vectors, systems)."""
 
 
-# --- prototypes ---
-
-class DegenerateMask(PoissonPropError):
-    """Mask with zero total weight (empty foreground)."""
-
-
 # --- graph ---
 
 class KTooLarge(PoissonPropError):

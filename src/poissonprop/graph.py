@@ -98,7 +98,10 @@ class WeightedGraph:
             raise ValueError("weight matrix must have a zero diagonal")
         if w.nnz and w.data.min() < 0.0:
             raise ValueError("weights must be nonnegative")
-        degrees = np.asarray(w.sum(axis=1)).ravel()
+        with np.errstate(over="ignore"):  # an overflowing degree is refused below
+            degrees = np.asarray(w.sum(axis=1)).ravel()
+        if not np.all(np.isfinite(degrees) & ((degrees == 0.0) | (degrees >= np.finfo(float).tiny))):
+            raise ValueError("every degree must be finite and 0 or normal (>= 2.2e-308)")
         zero = np.flatnonzero(degrees <= 0.0)
         if zero.size:
             shown = ", ".join(map(str, zero[:5])) + (", ..." if zero.size > 5 else "")

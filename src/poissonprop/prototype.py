@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateMask, ShapeMismatch
+from .errors import ShapeMismatch
 from .tensor import FeatureMap, SoftMask, avg_pool, predict_mask
 
 
@@ -36,12 +36,12 @@ def assign_prototype_labels(grid_mask: SoftMask) -> np.ndarray:
 def masked_average_pool(fmap: FeatureMap, mask: SoftMask) -> np.ndarray:
     """Mask-weighted channel-wise average of a feature map, as a (C,) array.
 
-    Raises DegenerateMask when the mask has zero total weight (an
-    empty-foreground support slice).
+    A mask with zero total weight (an empty-foreground support slice)
+    pools to the zero vector, which compares as 0 with every pixel.
     """
     if mask.data.shape != (fmap.height, fmap.width):
         raise ShapeMismatch(f"mask dims {mask.data.shape} != map dims {(fmap.height, fmap.width)}")
     total = float(mask.data.sum())
-    if total <= 0.0:
-        raise DegenerateMask("mask sums to zero; no pixels to pool")
+    if total == 0.0:
+        return np.zeros(fmap.channels)
     return fmap.data.reshape(fmap.channels, -1) @ mask.data.ravel() / total

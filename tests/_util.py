@@ -5,6 +5,8 @@ baseline of the paper's claims."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
@@ -132,6 +134,31 @@ def two_blob_spec(seed: int, n_auxiliary: int = 3, separation: float = 10.0) -> 
         size=7.0,
         seed=seed,
         n_auxiliary=n_auxiliary,
+    )
+
+
+def head_spec(seed: int) -> pp.SynthSpec:
+    """32x32 two-blob episode with one auxiliary map at separation 6, on
+    the disk of perfbench's calibrated-head workload."""
+    return dataclasses.replace(
+        two_blob_spec(seed, n_auxiliary=1, separation=6.0),
+        height=32, width=32, center=(0.484 * 32, 0.528 * 32), size=0.4375 * 32,
+    )
+
+
+def head_config(seed: int) -> pp.EpisodeConfig:
+    """A seeded 64-wide similarity head (16 -> 64) and calibration
+    transform (64 -> 64 -> 64) for C = 8 maps: weights ~ N(0, 1/fan_in),
+    biases ~ N(0, 0.01)."""
+    rng = np.random.default_rng(seed)
+
+    def linear(n_in: int, n_out: int) -> pp.LinearParams:
+        weight = rng.standard_normal((n_out, n_in)) / np.sqrt(n_in)
+        return pp.LinearParams(weight, 0.1 * rng.standard_normal(n_out))
+
+    return pp.EpisodeConfig(
+        sim_params=linear(16, 64),
+        calibration_params=pp.TwoLayerParams(linear(64, 64), linear(64, 64)),
     )
 
 

@@ -21,7 +21,7 @@ from _util import (
     two_blob_spec,
 )
 from poissonprop.cli import main
-from poissonprop.errors import DegenerateMask, DisconnectedGraph
+from poissonprop.errors import DisconnectedGraph
 
 N_SYSTEMS = 50
 
@@ -157,18 +157,22 @@ def test_criterion_6_scc_structure():
 
 
 def test_criterion_7_metric_sanity():
-    """Metric examples exact; loss complements score at eps = 1e-12."""
+    """Metric examples exact; the score is 2|A∩B| / (|A|+|B|), symmetric and in [0, 1]."""
     full = np.ones((3, 3))
     assert pp.dsc(full, full) == 1.0
     assert pp.dsc(np.eye(2), 1.0 - np.eye(2)) == 0.0
     a = np.array([[1.0, 1.0], [0.0, 0.0]])
     b = np.array([[1.0, 0.0], [1.0, 0.0]])
     assert pp.dsc(a, b) == 0.5
+    assert pp.dsc(np.zeros((3, 3)), np.zeros((3, 3))) == 1.0
     rng = np.random.default_rng(9)
     for _ in range(100):
         x = (rng.uniform(0, 1, (8, 8)) > rng.uniform(0.2, 0.8)).astype(float)
         y = (rng.uniform(0, 1, (8, 8)) > rng.uniform(0.2, 0.8)).astype(float)
-        assert abs(pp.dice_loss(x, y, 1e-12) - (1.0 - pp.dsc(x, y))) < 1e-9
+        score = pp.dsc(x, y)
+        assert score == pp.dsc(y, x) and 0.0 <= score <= 1.0
+        if x.sum() + y.sum():
+            assert abs(score - 2.0 * (x * y).sum() / (x.sum() + y.sum())) < 1e-15
     _report("criterion 7: metric sanity (100 random mask pairs)")
 
 
@@ -205,7 +209,7 @@ def test_criterion_8_cli_determinism(tmp_path):
 
 
 def test_criterion_9_degenerate_handling():
-    """Single-label warning, DegenerateMask, DisconnectedGraph."""
+    """Single-label warning, the empty support's one-class answer, DisconnectedGraph."""
     # mild separation keeps the graph connected with only two prototypes
     ep, _ = pp.synth_episode(
         two_blob_spec(9, n_auxiliary=1, separation=1.0),
@@ -218,9 +222,10 @@ def test_criterion_9_degenerate_handling():
 
     ep, _ = pp.synth_episode(two_blob_spec(10))
     ep = dataclasses.replace(ep, support=(ep.support[0], pp.SoftMask(np.zeros((16, 16)))))
-    with pytest.warns(UserWarning):
-        with pytest.raises(DegenerateMask):
-            pp.run_episode(ep)
+    with pytest.warns(UserWarning, match="share one class"):
+        result = pp.run_episode(ep)
+    assert not result.mask_poisson.any()
+    assert not result.global_prototype.any() and not result.calibrated.data.any()
 
     split = pp.from_triplets([[0, 1, 1.0], [2, 3, 1.0]])
     source = pp.build_source(np.eye(2), 4)

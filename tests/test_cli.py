@@ -116,6 +116,21 @@ class TestGraphPropagate:
             "zero degree at index 2 (1 of 4 vertices)\n"
         )
 
+    @pytest.mark.parametrize("weight", [1e308, 1e-310])
+    def test_propagate_rejects_overflowing_degree(self, tmp_path, capsys, weight):
+        gfile = tmp_path / "g.t"
+        save_tensor(gfile, np.array([[0, 1, weight], [1, 2, weight]]))
+        lfile = tmp_path / "l.t"
+        save_tensor(lfile, np.eye(2))
+        code = main([
+            "propagate", "--graph", str(gfile), "--labels", str(lfile),
+            "--out", str(tmp_path / "r.t"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: ValueError: every degree must be finite and 0 or normal (>= 2.2e-308)\n"
+        )
+
     def test_defaults_are_episode_config_defaults(self):
         parser = _build_parser()
         graph = parser.parse_args(["graph", "--features", "f.t", "--out", "g.t"])
@@ -250,6 +265,25 @@ class TestSynthAndEpisode:
         res = pp.run_episode(ep)
         assert np.array_equal(load_tensor(out_dir / "confidence.t").data, res.confidence.values)
         assert np.array_equal(load_tensor(out_dir / "predicted_mask.t").data, res.mask_poisson)
+
+    def test_episode_with_empty_support_mask_writes_empty_prediction(self, tmp_path, capsys):
+        # the empty support pools to the zero prototype: the run ends with
+        # the one-class answer instead of an error
+        synth_dir = tmp_path / "ep"
+        main(["synth", "--spec", str(write_spec(tmp_path)), "--out-dir", str(synth_dir)])
+        save_tensor(synth_dir / "support_mask.t", np.zeros((16, 16)), DTYPE_U8)
+        out_dir = tmp_path / "run"
+        with pytest.warns(UserWarning, match="share one class") as record:
+            code = main([
+                "episode", "--manifest", str(synth_dir / "manifest.json"),
+                "--out-dir", str(out_dir),
+            ])
+        assert code == 0 and len(record) == 1
+        assert capsys.readouterr().err == ""
+        assert not load_tensor(out_dir / "predicted_mask.t").data.any()
+        assert not load_tensor(out_dir / "calibrated.t").data.any()
+        assert np.all(load_tensor(out_dir / "confidence.t").data == 0.5)
+        assert json.loads((out_dir / "diagnostics.json").read_text())["dsc"] == 0.0
 
     @pytest.mark.parametrize(
         "overrides",

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import poissonprop as pp
-from _util import UNIT8, aligned_rect_spec, two_blob_spec
+from _util import UNIT8, aligned_rect_spec, head_config, head_spec, two_blob_spec
 from poissonprop import Episode, EpisodeConfig, predict_mask, run_episode, to_triplets
 from poissonprop.episode import _query_mask
-from poissonprop.errors import DegenerateMask, DisconnectedGraph
+from poissonprop.errors import DisconnectedGraph
 from poissonprop.tensor import FeatureMap, SoftMask
 
 _FMAP, _MASK = FeatureMap(np.zeros((2, 4, 4))), SoftMask(np.zeros((4, 4)))
@@ -369,13 +369,47 @@ class TestDegenerateEpisodes:
         for res in results:
             assert res.mask_poisson.sum() == 0
 
-    def test_all_zero_support_mask_raises_degenerate(self):
-        ep, _ = pp.synth_episode(two_blob_spec(10))
-        empty = SoftMask(np.zeros((16, 16)))
+    @pytest.mark.parametrize("head", [False, True], ids=["cosine", "head"])
+    def test_all_zero_support_mask_predicts_no_foreground(self, head):
+        # an empty support pools to the zero prototype, so the similarity
+        # branch cannot veto the one-class answer of the "poisson" mask
+        spec, config = (head_spec(0), head_config(0)) if head else (two_blob_spec(10), None)
+        ep, _ = pp.synth_episode(spec, config=config)
+        empty = SoftMask(np.zeros(ep.support[1].data.shape))
         ep = dataclasses.replace(ep, support=(ep.support[0], empty))
-        with pytest.warns(UserWarning):
-            with pytest.raises(DegenerateMask, match="global-prototype"):
-                run_episode(ep)
+        with pytest.warns(UserWarning, match="share one class") as record:
+            res = run_episode(ep)
+        assert len(record) == 1
+        assert not res.mask_poisson.any()
+        assert np.array_equal(res.global_prototype, np.zeros(8))
+        if head:  # the head maps (pixel, 0)
+            params = ep.config.sim_params
+            pairs = np.concatenate([ep.query.data.reshape(8, -1), np.zeros((8, 32 * 32))])
+            assert np.allclose(res.similarity.data.reshape(64, -1), params.apply(pairs))
+        else:  # cosine 0 with every pixel, so every map downstream is 0
+            for fmap in (res.similarity, res.fused, res.calibrated):
+                assert not fmap.data.any()
+
+    @pytest.mark.parametrize("n_auxiliary", [0, 3])
+    def test_empty_support_matches_one_pixel_support(self, n_auxiliary):
+        # both supports label every grid cell background, so the graph, the
+        # scores and the "poisson" mask agree byte for byte; only the
+        # similarity branch sees the difference
+        ep, _ = pp.synth_episode(two_blob_spec(10, n_auxiliary=n_auxiliary))
+        one_pixel = np.zeros((16, 16))
+        one_pixel[8, 8] = 1.0
+        results = []
+        for mask in (np.zeros((16, 16)), one_pixel):
+            support = (ep.support[0], SoftMask(mask))
+            with pytest.warns(UserWarning, match="share one class") as record:
+                results.append(run_episode(dataclasses.replace(ep, support=support)))
+            assert len(record) == 1
+        empty, pixel = results
+        assert np.array_equal(to_triplets(empty.graph), to_triplets(pixel.graph))
+        assert empty.propagation.scores.tobytes() == pixel.propagation.scores.tobytes()
+        assert empty.confidence.values.tobytes() == pixel.confidence.values.tobytes()
+        assert not empty.mask_poisson.any() and not pixel.mask_poisson.any()
+        assert not empty.global_prototype.any() and pixel.global_prototype.any()
 
     def test_disconnected_episode_names_components(self):
         # radius 5 splits the two blobs: the truth follows the split, so a

@@ -9,11 +9,13 @@ import scipy.sparse as sp
 
 from _util import _reference_knn, _reference_sq_dists
 from poissonprop import (
+    LabelSource,
     VertexSet,
     build_weight_graph,
     from_triplets,
     graph,
     laplacian_apply,
+    solve_iterative,
     to_triplets,
 )
 from poissonprop.errors import KTooLarge, ShapeMismatch
@@ -462,6 +464,35 @@ class TestWeightedGraph:
         w[0, 1] = w[1, 0] = 1.0
         with pytest.raises(ValueError, match=re.escape("zero degree at index 2 (1 of 3 vertices)")):
             WeightedGraph(w)
+
+    @pytest.mark.parametrize("weight", [1e-310, 1e308, 5e-324, 9e307])
+    def test_degree_past_float_range_rejected(self, weight):
+        # 1e308 + 1e308 overflows the degree, and 1 / 2e-310 overflows its
+        # reciprocal: both are refused up front, with no RuntimeWarning.
+        # 5e-324 is the smallest subnormal; 9e307 + 9e307 just overflows
+        message = "every degree must be finite and 0 or normal (>= 2.2e-308)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            from_triplets([[0, 1, weight], [1, 2, weight]])
+
+    def test_one_overflowing_degree_rejected_from_matrix(self):
+        # every weight is finite; only vertex 0's row sum is not
+        w = np.zeros((4, 4))
+        w[0, 1:] = w[1:, 0] = 1e308
+        with pytest.raises(ValueError, match=re.escape("every degree must be finite")):
+            WeightedGraph(sp.csr_matrix(w))
+
+    @pytest.mark.parametrize("weight", [np.finfo(float).tiny, 1e-300, 1e300, 1e307])
+    def test_degree_at_float_range_edge_solves(self, weight):
+        # the smallest normal degree and a degree of 2e307 stay admitted;
+        # the solve scales the unit-weight scores by 1 / weight with no
+        # RuntimeWarning, so every score is finite and keeps its sign
+        g = from_triplets([[0, 1, weight], [1, 2, weight], [2, 3, weight]])
+        assert np.array_equal(g.degrees, weight * np.array([1.0, 2.0, 2.0, 1.0]))
+        source = LabelSource(np.eye(2), 4)
+        unit = solve_iterative(from_triplets([[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0]]), source)
+        res = solve_iterative(g, source)
+        assert res.converged and np.all(np.isfinite(res.scores))
+        assert np.array_equal(np.sign(res.scores), np.sign(unit.scores))
 
     def test_zero_degree_count_with_first_five(self):
         w = np.zeros((10, 10))

@@ -10,7 +10,6 @@ from poissonprop import (
     FeatureMap,
     SoftMask,
     avg_pool,
-    dice_loss,
     downsample_mask,
     dsc,
     masked_average_pool,
@@ -89,15 +88,6 @@ def test_dsc_symmetric_bounded(a, b):
     s = dsc(a, b)
     assert 0.0 <= s <= 1.0
     assert dsc(b, a) == s
-
-
-@given(
-    arrays(np.float64, (4, 4), elements=st.sampled_from([0.0, 1.0])),
-    arrays(np.float64, (4, 4), elements=st.sampled_from([0.0, 1.0])),
-)
-@settings(max_examples=100)
-def test_dice_loss_complements_dsc_for_binary(a, b):
-    assert abs(dice_loss(a, b, 1e-12) - (1.0 - dsc(a, b))) < 1e-9
 
 
 @given(

@@ -7,8 +7,9 @@ from poissonprop import (
     assign_prototype_labels,
     local_prototype_pool,
     masked_average_pool,
+    similarity_map,
 )
-from poissonprop.errors import DegenerateMask, ShapeMismatch
+from poissonprop.errors import ShapeMismatch
 
 
 @pytest.fixture
@@ -84,8 +85,32 @@ class TestMaskedAveragePool:
         assert np.allclose(proto, fmap44.data[:, 1, 2], atol=1e-12)
 
     def test_zero_mask_degenerate(self, fmap44):
-        with pytest.raises(DegenerateMask):
-            masked_average_pool(fmap44, SoftMask(np.zeros((4, 4))))
+        # an empty foreground pools to the zero vector, +0.0 in every channel
+        proto = masked_average_pool(fmap44, SoftMask(np.zeros((4, 4))))
+        assert proto.shape == (3,)
+        assert np.array_equal(proto, np.zeros(3)) and not np.signbit(proto).any()
+
+    @pytest.mark.parametrize("channels", [1, 256])
+    def test_zero_mask_pools_to_zero_at_any_width(self, channels):
+        # the zero vector is returned, not a product with the map: entries
+        # of 1e300 leave no trace
+        data = np.full((channels, 3, 5), 1e300)
+        proto = masked_average_pool(FeatureMap(data), SoftMask(np.zeros((3, 5))))
+        assert proto.tobytes() == np.zeros(channels).tobytes()
+
+    def test_tiny_positive_total_still_pools(self, fmap44):
+        # only a total of exactly 0 is empty: a one-pixel mask of 1e-300
+        # selects that pixel as a mask of 1 does
+        mask = np.zeros((4, 4))
+        mask[2, 1] = 1e-300
+        proto = masked_average_pool(fmap44, SoftMask(mask))
+        assert np.allclose(proto, fmap44.data[:, 2, 1], rtol=1e-12, atol=0.0)
+
+    def test_zero_prototype_has_zero_similarity(self, fmap44):
+        proto = masked_average_pool(fmap44, SoftMask(np.zeros((4, 4))))
+        sim = similarity_map(fmap44, proto)
+        assert sim.data.shape == (1, 4, 4)
+        assert sim.data.tobytes() == np.zeros((1, 4, 4)).tobytes()
 
     def test_mask_dims_must_match(self, fmap44):
         with pytest.raises(ShapeMismatch):

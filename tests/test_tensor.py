@@ -14,7 +14,6 @@ from poissonprop import (
     VertexSet,
     avg_pool,
     build_weight_graph,
-    dice_loss,
     downsample_mask,
     dsc,
     load_tensor,
@@ -95,8 +94,6 @@ _ARRAY_INPUTS = {
     "VertexSet": ("points", 2, lambda v, _: VertexSet(v, [0], 0)),
     "dsc-pred": ("pred", 2, lambda v, _: dsc(v, _ONES)),
     "dsc-target": ("target", 2, lambda v, _: dsc(_ONES, v)),
-    "dice_loss-pred": ("pred", 2, lambda v, _: dice_loss(v, _ONES)),
-    "dice_loss-target": ("target", 2, lambda v, _: dice_loss(_ONES, v)),
     "LinearParams": ("weight", 2, lambda v, _: LinearParams(v, None)),
     "load_tensor": ("tensor data", None, _load_written),
 }
